@@ -22,15 +22,6 @@ synthetic pool and scoring it with the full two-stage linker and the
 stage-1-only variant.  Its row lands in the same trajectory under the
 ``workers="episodes"`` key.
 
-A third scenario sweeps the **stage-1 strategies** (``blocked`` vs the
-term-pruned ``invindex``) over large synthetic Tf-Idf-shaped sparse
-corpora — 20k/50k/100k known rows via ``REPRO_BENCH_STAGE1`` — and
-records, per row, the index build time, both reduce wall times, the
-visited-postings fraction against the dense posting count, per-row RSS,
-and a bit-identity flag.  Matrices are synthesized directly (document
-synthesis + feature fit at 100k known costs tens of minutes and would
-measure the fit, not the scan).
-
 Corpus sizes come from ``REPRO_BENCH_SIZES`` (comma-separated
 ``<known>x<unknown>`` pairs, e.g. ``"2000x200"``, or the literal
 ``sweep`` for the 2k/10k/50k known-side trajectory); the parallel
@@ -52,14 +43,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from _util import emit, seconds, table, timed, update_trajectory
 from repro.core.documents import AliasDocument
 from repro.core.linker import AliasLinker
-from repro.core.tfidf import l2_normalize_rows
-from repro.perf.blocked import blocked_top_k
-from repro.perf.invindex import ShardedIndex, choose_stage1
 from repro.perf.parallel import GATE_ENV, shutdown_pools
 from repro.resilience.snapshot import load_index, save_index
 from repro.obs.manifest import build_manifest
@@ -68,36 +55,21 @@ from repro.obs.prof import peak_rss_kb, read_rss_kb
 
 SIZES_ENV = "REPRO_BENCH_SIZES"
 WORKERS_ENV_BENCH = "REPRO_BENCH_WORKERS"
-STAGE1_SIZES_ENV = "REPRO_BENCH_STAGE1"
-STAGE1_SHARDS_ENV = "REPRO_BENCH_SHARDS"
 DEFAULT_SIZES = "300x60,1200x150"
-DEFAULT_STAGE1_SIZES = "20000x200"
 #: The known-side scaling trajectory from the ROADMAP
 #: (``REPRO_BENCH_SIZES=sweep``).
 SWEEP_SIZES = "2000x200,10000x400,50000x800"
-#: The stage-1 strategy trajectory (``REPRO_BENCH_STAGE1=sweep``).
-STAGE1_SWEEP_SIZES = "20000x200,50000x200,100000x200"
 
 
-def _parse_sizes(raw, sweep):
+def _sizes():
+    raw = os.environ.get(SIZES_ENV, DEFAULT_SIZES)
     if raw.strip().lower() == "sweep":
-        raw = sweep
+        raw = SWEEP_SIZES
     pairs = []
     for chunk in raw.split(","):
         known, unknown = chunk.strip().lower().split("x")
         pairs.append((int(known), int(unknown)))
     return pairs
-
-
-def _sizes():
-    return _parse_sizes(os.environ.get(SIZES_ENV, DEFAULT_SIZES),
-                        SWEEP_SIZES)
-
-
-def _stage1_sizes():
-    return _parse_sizes(
-        os.environ.get(STAGE1_SIZES_ENV, DEFAULT_STAGE1_SIZES),
-        STAGE1_SWEEP_SIZES)
 
 
 def _peak_rss_mb():
@@ -151,38 +123,6 @@ def _measure(n_known, n_unknown, workers):
     with timed("bench.reduce", n_unknown=n_unknown) as span:
         reduced = cached.reducer.reduce(unknown)
     row["reduce_s"] = seconds(span)
-
-    # Stage-1 strategy columns on the *same* fitted feature space:
-    # build the sharded inverted index, reduce again through it, and
-    # record the visited-postings fraction against the dense count.
-    shards = int(os.environ.get(STAGE1_SHARDS_ENV, "4"))
-    cached.reducer.shards = min(shards, n_known)
-    with timed("bench.invindex_build", n_known=n_known) as span:
-        cached.reducer.rebuild_index()
-    row["invindex_build_s"] = seconds(span)
-    row["invindex_shards"] = cached.reducer._index.n_shards
-    visited_before = _counter_value("invindex_postings_visited_total")
-    dense_before = _counter_value("invindex_postings_dense_total")
-    cached.reducer.stage1 = "invindex"
-    with timed("bench.reduce_invindex", n_unknown=n_unknown) as span:
-        reduced_inv = cached.reducer.reduce(unknown)
-    row["reduce_invindex_s"] = seconds(span)
-    cached.reducer.stage1 = "blocked"
-    cached.reducer._index = None
-    visited = (_counter_value("invindex_postings_visited_total")
-               - visited_before)
-    dense = (_counter_value("invindex_postings_dense_total")
-             - dense_before)
-    row["invindex_visited_frac"] = visited / max(dense, 1.0)
-    row["invindex_speedup"] = (row["reduce_s"]
-                               / max(row["reduce_invindex_s"], 1e-9))
-    row["stage1_identical"] = reduced_inv == reduced
-    # What the cost model would pick for this corpus: real-linker
-    # matrices at these sizes are small and dense-ish, where invindex
-    # historically *lost* (visited fraction > 1) — auto must route
-    # them to dense/blocked (asserted below).
-    row["stage1_auto"] = choose_stage1(cached.reducer._known_matrix,
-                                       cached.reducer.k)
 
     row["restage_cached_s"] = _restage_time(cached, reduced)
 
@@ -267,128 +207,6 @@ def _measure(n_known, n_unknown, workers):
     row["cold_identical"] = (serial_result.to_dict()
                              == cold_result.to_dict())
 
-    row["rss_after_mb"] = read_rss_kb() / 1024.0
-    row["peak_rss_mb"] = _peak_rss_mb()
-    return row
-
-
-def _stage1_counts(rng, rows, n_terms, words_per_doc):
-    """Zipf word draws for *rows* documents, as a count matrix."""
-    cols = (rng.zipf(1.3, size=rows * words_per_doc) - 1) % n_terms
-    row_ids = np.repeat(np.arange(rows), words_per_doc)
-    counts = sparse.coo_matrix(
-        (np.ones(rows * words_per_doc), (row_ids, cols)),
-        shape=(rows, n_terms)).tocsr()
-    counts.sum_duplicates()
-    return counts
-
-
-def _stage1_matrices(rng, n_known, n_unknown, n_terms=None,
-                     words_per_doc=None):
-    """Tf-Idf matrices with the real feature space's shape.
-
-    Zipf-drawn vocabularies, log-tf, smoothed log-idf fitted on the
-    known side (like the real pipeline), L2-normalized rows.  This is
-    the weight skew the inverted index's max-weight pruning exploits —
-    raw summed counts instead would concentrate all query mass in a
-    few head terms and reproduce the adversarial unprunable case.
-
-    At 500k+ known the documents get shorter and the vocabulary
-    wider (the million-alias regime is many thin profiles, not many
-    200-word essays), keeping the posting mass — and the bench's
-    memory bill — proportionate.
-    """
-    if n_terms is None:
-        n_terms = 50000 if n_known >= 500_000 else 20000
-    if words_per_doc is None:
-        words_per_doc = 64 if n_known >= 500_000 else 200
-    known_counts = _stage1_counts(rng, n_known, n_terms, words_per_doc)
-    query_counts = _stage1_counts(rng, n_unknown, n_terms,
-                                  words_per_doc)
-    df = np.asarray((known_counts > 0).sum(axis=0)).ravel() + 1.0
-    idf = np.log((n_known + 1.0) / df)
-
-    def weigh(counts):
-        tf = counts.copy()
-        tf.data = 1.0 + np.log(tf.data)
-        return l2_normalize_rows(tf.multiply(idf).tocsr())
-
-    return weigh(known_counts), weigh(query_counts)
-
-
-def _measure_stage1(n_known, n_unknown, shards, k=10):
-    """One stage-1 strategy row: blocked vs invindex on one corpus.
-
-    Also measures the incremental path — build on all-but-the-tail,
-    append the tail through the delta segment, and demand bit-identity
-    with the full build — plus what the ``stage1=auto`` cost model
-    picks.  At 500k+ known the index is built with ``exact=False``
-    (float32 postings, int32 row ids — half the bytes, same bits out)
-    so the million-alias row also exercises the memory diet.
-    """
-    rng = np.random.default_rng(n_known)
-    corpus, queries = _stage1_matrices(rng, n_known, n_unknown)
-    exact = n_known < 500_000
-    row = {"n_known": n_known, "n_unknown": n_unknown,
-           "workers": f"stage1x{shards}", "shards": shards,
-           "exact_postings": exact,
-           "rss_before_mb": read_rss_kb() / 1024.0}
-    with timed("bench.stage1_blocked", n_known=n_known) as span:
-        blocked_idx, blocked_val = blocked_top_k(queries, corpus, k)
-    row["reduce_blocked_s"] = seconds(span)
-    row["stage1_auto"] = choose_stage1(corpus, k)
-    with timed("bench.stage1_invindex_build", n_known=n_known) as span:
-        index = ShardedIndex(corpus, shards=shards, exact=exact)
-    row["invindex_build_s"] = seconds(span)
-    row["build_rows_per_s"] = n_known / max(row["invindex_build_s"],
-                                            1e-9)
-    row["postings_mb"] = sum(
-        sum(arr.nbytes for arr in shard.postings)
-        for shard in index._shards) / (1 << 20)
-    visited_before = _counter_value("invindex_postings_visited_total")
-    dense_before = _counter_value("invindex_postings_dense_total")
-    with timed("bench.stage1_invindex", n_known=n_known) as span:
-        inv_idx, inv_val = index.top_k(queries, k)
-    row["reduce_invindex_s"] = seconds(span)
-    visited = (_counter_value("invindex_postings_visited_total")
-               - visited_before)
-    dense = (_counter_value("invindex_postings_dense_total")
-             - dense_before)
-    row["invindex_postings_visited"] = visited
-    row["invindex_postings_dense"] = dense
-    row["invindex_visited_frac"] = visited / max(dense, 1.0)
-    row["invindex_speedup"] = (row["reduce_blocked_s"]
-                               / max(row["reduce_invindex_s"], 1e-9))
-    row["stage1_identical"] = bool(
-        np.array_equal(inv_idx, blocked_idx)
-        and np.array_equal(inv_val, blocked_val))
-
-    # Incremental posting updates: build on all but the last n_add
-    # rows, append those through the delta segment, and compare with
-    # the full build — identical bits, a fraction of the wall.
-    n_add = min(1000, n_known // 20)
-    if n_add:
-        base = corpus[:n_known - n_add]
-        inc_index = ShardedIndex(base, shards=min(shards,
-                                                  base.shape[0]),
-                                 exact=exact)
-        with timed("bench.stage1_incremental_add",
-                   n_add=n_add) as span:
-            inc_index.extend(corpus)
-        row["incremental_add_s"] = seconds(span)
-        row["incremental_n_add"] = n_add
-        row["incremental_delta_rows"] = inc_index.n_delta
-        inc_idx, inc_val = inc_index.top_k(queries, k)
-        row["incremental_identical"] = bool(
-            np.array_equal(inc_idx, inv_idx)
-            and np.array_equal(inc_val, inv_val))
-        # Gain over paying the full rebuild (what add_known used to
-        # cost).  Deliberately *not* named *_speedup: the denominator
-        # is sub-millisecond and jittery, so bench-diff must not gate
-        # it; the hard floor is asserted in the bench instead.
-        row["incremental_gain"] = (row["invindex_build_s"]
-                                   / max(row["incremental_add_s"],
-                                         1e-9))
     row["rss_after_mb"] = read_rss_kb() / 1024.0
     row["peak_rss_mb"] = _peak_rss_mb()
     return row
@@ -483,45 +301,6 @@ def test_linking_throughput():
                   "parallel column measures pool overhead, not "
                   "scaling; re-run on a multi-core host."]
 
-    stage1_rows = [_measure_stage1(nk, nu, shards=int(
-        os.environ.get(STAGE1_SHARDS_ENV, "4")))
-        for nk, nu in _stage1_sizes()]
-    lines += ["", "Stage-1 strategies — blocked vs term-pruned "
-              f"inverted index (synthetic Tf-Idf matrices; sizes via "
-              f"{STAGE1_SIZES_ENV})", ""]
-    lines += table(
-        ("known", "unknown", "shards", "auto", "blocked s",
-         "build s", "rows/s", "invindex s", "inv x", "visited frac",
-         "add s", "gain x", "identical", "rss MB", "peak MB"),
-        [(r["n_known"], r["n_unknown"], r["shards"],
-          r["stage1_auto"],
-          f"{r['reduce_blocked_s']:.2f}",
-          f"{r['invindex_build_s']:.2f}",
-          f"{r['build_rows_per_s']:.0f}",
-          f"{r['reduce_invindex_s']:.2f}",
-          f"{r['invindex_speedup']:.2f}",
-          f"{r['invindex_visited_frac']:.3f}",
-          f"{r['incremental_add_s']:.4f}"
-          if "incremental_add_s" in r else "-",
-          f"{r['incremental_gain']:.0f}"
-          if "incremental_gain" in r else "-",
-          str(r["stage1_identical"]
-              and r.get("incremental_identical", True)),
-          f"{r['rss_after_mb']:.0f}", f"{r['peak_rss_mb']:.0f}")
-         for r in stage1_rows]
-        + [(r["n_known"], r["n_unknown"], r["invindex_shards"],
-            r["stage1_auto"],
-            f"{r['reduce_s']:.2f}", f"{r['invindex_build_s']:.2f}",
-            "-",
-            f"{r['reduce_invindex_s']:.2f}",
-            f"{r['invindex_speedup']:.2f}",
-            f"{r['invindex_visited_frac']:.3f}",
-            "-", "-",
-            str(r["stage1_identical"]),
-            f"{r['rss_after_mb']:.0f}", f"{r['peak_rss_mb']:.0f}")
-           for r in rows])
-    rows.extend(stage1_rows)
-
     episode_row = _measure_episodes()
     lines += ["", "Episode harness smoke "
               f"(n_way=6, {episode_row['n_unknown']} episodes, "
@@ -543,9 +322,6 @@ def test_linking_throughput():
     manifest = build_manifest(
         command="bench_linking_throughput",
         config={"sizes": os.environ.get(SIZES_ENV, DEFAULT_SIZES),
-                "stage1_sizes": os.environ.get(STAGE1_SIZES_ENV,
-                                               DEFAULT_STAGE1_SIZES),
-                "shards": int(os.environ.get(STAGE1_SHARDS_ENV, "4")),
                 "workers": workers},
         seed=1,
     )
@@ -558,22 +334,6 @@ def test_linking_throughput():
     for row in rows:
         if row["workers"] == "episodes":
             continue
-        # Every stage-1 strategy must produce bit-identical output.
-        assert row["stage1_identical"]
-        if str(row["workers"]).startswith("stage1"):
-            # Incremental adds must be bit-identical to a full build,
-            # and at 20k+ known at least 10x cheaper than the rebuild
-            # they replace; the cost model must route big prunable
-            # synthetic corpora to the inverted index.
-            assert row.get("incremental_identical", True)
-            if row["n_known"] >= 20000:
-                assert row["stage1_auto"] == "invindex"
-                assert row["incremental_gain"] >= 10
-            continue
-        # Real-linker corpora at bench sizes are where invindex
-        # historically lost (visited fraction > 1): auto must keep
-        # them on the dense/blocked path.
-        assert row["stage1_auto"] in ("dense", "blocked")
         # Any worker count must produce bit-identical links.
         assert row["outputs_identical"]
         # The warm pass must have hit the persistent pool — with the

@@ -10,9 +10,8 @@ Six subcommands cover the end-to-end workflow of the paper:
   (Sections IV-I/IV-J); ``--checkpoint FILE``/``--resume`` make long
   runs crash-safe, ``--max-retries``/``--retry-deadline`` bound
   transient-failure retries (see ``docs/robustness.md``),
-  ``--workers N``/``--no-cache``/``--block-size``/
-  ``--stage1 {dense,blocked,invindex,auto}``/``--shards N`` tune the
-  perf subsystem (see ``docs/performance.md``); ``--index SNAP`` links
+  ``--workers N``/``--no-cache``/``--block-size`` tune the perf
+  subsystem (see ``docs/performance.md``); ``--index SNAP`` links
   against a prebuilt snapshot instead of refitting, and
   ``--deadline-ms``/``--degraded-ok`` bound the linking wall-clock
   (degraded-mode semantics: ``docs/robustness.md``);
@@ -166,14 +165,20 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
         linker = load_index(args.index, workers=args.workers,
                             cache=not args.no_cache,
-                            block_size=args.block_size,
-                            stage1=args.stage1, shards=args.shards)
+                            block_size=args.block_size)
         if args.threshold is not None:
             linker.threshold = args.threshold
         threshold = linker.threshold
+        # The pipeline only refines the unknowns here, but it also
+        # states the run's knobs in the manifest: record the loaded
+        # linker's resolved values, not the pipeline defaults.
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
+            batch_size=getattr(linker, "batch_size", None),
             retry_policy=retry_policy,
+            workers=linker.workers,
+            cache=linker.cache.enabled,
+            block_size=linker.block_size,
         )
         unknown_docs = pipeline.prepare_forum(unknown, is_known=False)
         refined_known = len(linker._known or ())
@@ -194,8 +199,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=not args.no_cache,
             block_size=args.block_size,
-            stage1=args.stage1 or "blocked",
-            shards=args.shards,
         )
         args.manifest_config = pipeline.manifest_config()
         known_docs = pipeline.prepare_forum(known, is_known=True)
@@ -251,9 +254,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=not args.no_cache,
             block_size=args.block_size,
-            stage1=args.stage1 or "blocked",
-            shards=args.shards,
-            build_jobs=args.jobs,
         )
         known = pipeline.prepare_forum(forum, is_known=True)
         if not known:
@@ -264,9 +264,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
         build_start = time.perf_counter()
         linker.fit(known)
         build_wall_s = time.perf_counter() - build_start
-        # Manifest provenance: what parallelism the build actually ran
-        # with and what it cost, so snapshot manifests attribute the
-        # one-off fit separately from the many loads that amortize it.
+        # Manifest provenance: what the build cost, so snapshot
+        # manifests attribute the one-off fit separately from the many
+        # loads that amortize it.
         args.manifest_config = dict(
             pipeline.manifest_config(),
             build_wall_s=round(build_wall_s, 6))
@@ -275,8 +275,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
               f"{info['sections']} sections, {info['n_known']} known "
               f"aliases, algo {info['algo']}, "
               f"config {info['config_digest']})")
-        print(f"build: {build_wall_s:.2f}s "
-              f"({args.jobs or 1} build job(s))")
+        print(f"build: {build_wall_s:.2f}s")
         return 0
     if args.index_command == "verify":
         report = verify_index(args.snapshot)
@@ -564,17 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="ROWS",
                       help="known aliases scored per stage-1 block "
                            "(default from REPRO_BLOCK_SIZE, else 4096)")
-    link.add_argument("--stage1", default=None,
-                      choices=("dense", "blocked", "invindex", "auto"),
-                      help="stage-1 scoring strategy (default: "
-                           "blocked; with --index, whatever the "
-                           "snapshot was built with; auto measures "
-                           "the corpus and picks); every strategy "
-                           "links bit-identically")
-    link.add_argument("--shards", type=int, default=None, metavar="K",
-                      help="inverted-index partitions for "
-                           "--stage1 invindex (default from "
-                           "REPRO_SHARDS, else 1)")
     link.set_defaults(func=_cmd_link)
 
     index = sub.add_parser(
@@ -596,22 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     ibuild.add_argument("--no-cache", action="store_true")
     ibuild.add_argument("--block-size", type=int, default=None,
                         metavar="ROWS")
-    ibuild.add_argument("--stage1", default=None,
-                        choices=("dense", "blocked", "invindex",
-                                 "auto"),
-                        help="stage-1 strategy baked into the "
-                             "snapshot; invindex saves the posting "
-                             "arrays so loads skip the build; auto "
-                             "measures the corpus and picks")
-    ibuild.add_argument("--shards", type=int, default=None,
-                        metavar="K",
-                        help="inverted-index partitions for "
-                             "--stage1 invindex")
-    ibuild.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the inverted-index "
-                             "build (per-shard postings in parallel, "
-                             "bit-identical to serial; recorded in "
-                             "the run manifest as build_jobs)")
     ibuild.set_defaults(func=_cmd_index)
     iverify = isub.add_parser(
         "verify", help="check every section checksum of a snapshot")

@@ -41,6 +41,7 @@ from repro.core.linker import (
 from repro.errors import ConfigurationError, DatasetError, \
     DeadlineExceededError
 from repro.obs.logging import get_logger
+from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
 from repro.perf.parallel import ParallelExecutor, resolve_workers
 from repro.resilience.checkpoint import CheckpointStore, open_store
@@ -76,15 +77,9 @@ class BatchedLinker:
         batch of every round reuses the same raw profiles instead of
         re-tokenizing the pool per batch.
     block_size:
-        Stage-1 scoring block size forwarded to every reducer.
-    stage1 / shards / build_jobs:
-        Stage-1 scoring strategy, shard count and index-build
-        parallelism forwarded to every reducer and inner linker (see
-        :class:`AliasLinker`).  Note that ``"invindex"`` rebuilds a
-        small index per batch — at the paper's B=100 the build dwarfs
-        the scan, so ``"blocked"`` usually wins here (and ``"auto"``
-        measures each batch and picks dense); the knobs exist for
-        symmetry and testing.
+        Stage-1 scoring block size forwarded to every reducer;
+        ``None`` resolves through ``REPRO_BLOCK_SIZE``.  Resolved (and
+        validated) once at construction.
     breaker:
         Optional circuit breaker forwarded to the per-unknown final
         attribution (see :class:`AliasLinker`).
@@ -101,9 +96,6 @@ class BatchedLinker:
                  workers: Optional[int] = None,
                  cache: Union[bool, ProfileCache] = True,
                  block_size: Optional[int] = None,
-                 stage1: str = "blocked",
-                 shards: Optional[int] = None,
-                 build_jobs: Optional[int] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         if batch_size < 2:
             raise ConfigurationError(
@@ -130,10 +122,7 @@ class BatchedLinker:
             self.cache = cache
         else:
             self.cache = ProfileCache(enabled=bool(cache))
-        self.block_size = block_size
-        self.stage1 = stage1
-        self.shards = shards
-        self.build_jobs = build_jobs
+        self.block_size = resolve_block_size(block_size)
         self.breaker = breaker
         self._known: Optional[List[AliasDocument]] = None
 
@@ -168,9 +157,6 @@ class BatchedLinker:
                     # the same raw profiles (one tokenization per doc).
                     encoder=DocumentEncoder(cache=self.cache),
                     block_size=self.block_size,
-                    stage1=self.stage1,
-                    shards=self.shards,
-                    build_jobs=self.build_jobs,
                 )
                 reducer.fit(batch)
                 for i, candidates in enumerate(reducer.reduce(unknowns)):
@@ -246,9 +232,6 @@ class BatchedLinker:
                 workers=1,  # never nest pools inside a worker
                 cache=self.cache,
                 block_size=self.block_size,
-                stage1=self.stage1,
-                shards=self.shards,
-                build_jobs=self.build_jobs,
                 breaker=self.breaker,
             )
             linker.fit(pool)

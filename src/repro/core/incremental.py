@@ -4,19 +4,14 @@ A deployment that monitors forums does not re-scrape the world every
 night; new aliases trickle in.  Refitting the full pipeline per new
 alias is wasteful — feature *selection* barely moves when one document
 joins a corpus of hundreds — so :class:`IncrementalLinker` freezes the
-selected n-gram space at the first fit and only:
-
-* vectorizes the new documents inside the frozen space (frozen
-  selection *and* frozen Idf) and appends their rows to the known
-  matrix, and
-* *extends* the stage-1 inverted index with the new rows (a delta
-  segment on one shard — see :mod:`repro.perf.invindex`) instead of
-  rebuilding it.
+selected n-gram space at the first fit and only vectorizes new
+documents inside that frozen space (frozen selection *and* frozen Idf),
+appending their rows to the known matrix.
 
 Freezing the Idf alongside the selection is what makes the append
 cheap: every existing row keeps its exact feature values, so an
-:meth:`add_known` is O(added) transform work plus an O(added) index
-append, never an O(corpus) re-transform or rebuild.  This is an
+:meth:`add_known` is O(added) transform work plus one row append,
+never an O(corpus) re-transform.  This is an
 approximation twice over: genuinely novel n-grams introduced by new
 aliases are invisible, and document frequencies lag the grown corpus,
 until :meth:`refit` is called.  The approximation error is measurable
@@ -26,9 +21,8 @@ tells callers when a refit is due.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
-import numpy as np
 from scipy import sparse
 
 from repro.config import (
@@ -39,7 +33,7 @@ from repro.config import (
     FeatureBudget,
 )
 from repro.core.documents import AliasDocument
-from repro.core.features import DocumentEncoder, FeatureWeights
+from repro.core.features import FeatureWeights
 from repro.core.linker import AliasLinker, LinkResult
 from repro.errors import ConfigurationError, NotFittedError
 from repro.obs.metrics import counter
@@ -64,16 +58,11 @@ class IncrementalLinker:
         becomes ``True`` to signal that a full :meth:`refit` is
         advisable (the frozen feature space is drifting away from the
         corpus).
-    workers / cache / block_size / stage1 / shards:
+    workers / cache / block_size:
         Forwarded to every underlying
         :class:`~repro.core.linker.AliasLinker` (see there); a refit
         builds a fresh cache unless a shared
         :class:`~repro.perf.cache.ProfileCache` instance is supplied.
-        With ``stage1="invindex"`` (or ``"auto"`` resolving to it) the
-        sharded inverted index is *extended* by every
-        :meth:`add_known` — new rows land in the last shard's delta
-        segment, compaction amortizes — so queries always see the
-        grown corpus without paying a rebuild.
     """
 
     def __init__(self, k: int = DEFAULT_K,
@@ -87,9 +76,6 @@ class IncrementalLinker:
                  workers: Optional[int] = None,
                  cache: Union[bool, ProfileCache] = True,
                  block_size: Optional[int] = None,
-                 stage1: str = "blocked",
-                 shards: Optional[int] = None,
-                 build_jobs: Optional[int] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         if refit_after < 1:
             raise ConfigurationError(
@@ -107,7 +93,6 @@ class IncrementalLinker:
             weights=weights, use_activity=use_activity,
             use_structure=use_structure,
             workers=workers, cache=cache, block_size=block_size,
-            stage1=stage1, shards=shards, build_jobs=build_jobs,
             breaker=breaker)
         self.refit_after = refit_after
         self._linker: Optional[AliasLinker] = None
@@ -159,9 +144,8 @@ class IncrementalLinker:
         The new rows are vectorized with the *existing* selection and
         the *existing* Idf, so every prior row of the known matrix is
         bit-preserved and the work is O(added): transform the new
-        documents, ``vstack`` their rows, and (when the inverted index
-        is active) append them to the last shard's delta segment.  No
-        re-selection or Idf refresh happens until :meth:`refit`.
+        documents and ``vstack`` their rows.  No re-selection or Idf
+        refresh happens until :meth:`refit`.
         """
         if self._linker is None:
             raise NotFittedError("IncrementalLinker.fit not called")
@@ -182,21 +166,12 @@ class IncrementalLinker:
             reducer = self._linker.reducer
             # Transform is row-independent, so stacking the new rows
             # under the fitted matrix equals transforming the grown
-            # corpus in one shot — with the old rows untouched, which
-            # is exactly what the index delta segment requires.
+            # corpus in one shot, with the old rows untouched.
             new_rows = reducer.extractor.transform(documents)
             grown = sparse.vstack(
                 [reducer._known_matrix, new_rows], format="csr")
             reducer._known = self._known
             reducer._known_matrix = grown
-            if reducer.active_stage1 == "invindex":
-                if reducer._index is None:
-                    reducer.rebuild_index()
-                else:
-                    # Append to the last shard's delta segment;
-                    # amortized compaction folds it back in when it
-                    # outgrows delta_ratio of the main segment.
-                    reducer._index.extend(grown)
             self._linker._known = self._known
             # Invalidate any persistent restage pool: forked workers
             # hold the pre-growth memory image.

@@ -23,30 +23,16 @@ from repro.config import DEFAULT_K, SPACE_REDUCTION_FEATURES, FeatureBudget
 from repro.core.documents import AliasDocument
 from repro.core.features import DocumentEncoder, FeatureExtractor, \
     FeatureWeights
-from repro.core.similarity import cosine_similarity, rank_of, top_k
+from repro.core.similarity import cosine_similarity, rank_of
 from repro.errors import ConfigurationError, NotFittedError
 from repro.perf.blocked import blocked_top_k, resolve_block_size
-from repro.perf.invindex import ShardedIndex, choose_stage1, \
-    resolve_shards
 from repro.obs.metrics import counter
 from repro.obs.spans import span
-
-#: The stage-1 scoring strategies :meth:`KAttributor.reduce` can run.
-#: The first three produce bit-identical candidate sets and differ
-#: only in memory shape and work visited; ``"auto"`` measures the
-#: fitted corpus and picks one of them (see ``docs/performance.md``).
-STAGE1_CHOICES = ("dense", "blocked", "invindex", "auto")
 
 #: Reduction queries answered (one per unknown alias per reduce call).
 _QUERIES = counter("kattribution_queries_total")
 #: Known aliases discarded by the reduction stage across all queries.
 _PRUNED = counter("candidates_pruned_total")
-#: Same registry objects as ``repro.perf.invindex`` increments — read
-#: around each invindex reduce to spot the pathological corpus where
-#: the staged scan visits *more* postings than dense would.
-_IVX_VISITED = counter("invindex_postings_visited_total")
-_IVX_DENSE = counter("invindex_postings_dense_total")
-_IVX_FALLBACK = counter("invindex_fallback_total")
 
 
 @dataclass(frozen=True)
@@ -98,24 +84,6 @@ class KAttributor:
         Resolved exactly once, here — ``self.block_size`` is always a
         concrete positive int afterwards (manifests record it, and a
         mid-run environment change cannot skew a sweep).
-    stage1:
-        Scoring strategy for :meth:`reduce` — ``"blocked"`` (default;
-        column blocks, top-k folded per block), ``"dense"`` (the
-        one-shot similarity matrix), ``"invindex"`` (term-pruned
-        sharded inverted index, sublinear in the posting mass on
-        prunable corpora) or ``"auto"`` (measure the fitted corpus
-        with :func:`~repro.perf.invindex.choose_stage1` and pick one
-        of the three).  Every choice returns bit-identical candidate
-        sets.
-    shards:
-        Partition count for the ``"invindex"`` strategy; ``None``
-        resolves through ``REPRO_SHARDS`` and defaults to 1.  Also
-        resolved once, at construction.
-    build_jobs:
-        Worker processes for the inverted-index *build* (each shard's
-        postings constructed in parallel, bit-identical to serial);
-        ``None``/1 builds serially.  Degrades to serial under the
-        available-core gate.
     """
 
     def __init__(self, k: int = DEFAULT_K,
@@ -124,28 +92,11 @@ class KAttributor:
                  use_activity: bool = True,
                  use_structure: bool = False,
                  encoder: DocumentEncoder | None = None,
-                 block_size: Optional[int] = None,
-                 stage1: str = "blocked",
-                 shards: Optional[int] = None,
-                 build_jobs: Optional[int] = None) -> None:
+                 block_size: Optional[int] = None) -> None:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        if stage1 not in STAGE1_CHOICES:
-            raise ConfigurationError(
-                f"stage1 must be one of {STAGE1_CHOICES}, "
-                f"got {stage1!r}")
-        build_jobs = 1 if build_jobs is None else int(build_jobs)
-        if build_jobs < 1:
-            raise ConfigurationError(
-                f"build_jobs must be >= 1, got {build_jobs}")
         self.k = k
         self.block_size = resolve_block_size(block_size)
-        self.stage1 = stage1
-        self.shards = resolve_shards(shards)
-        self.build_jobs = build_jobs
-        #: The measured choice when ``stage1="auto"`` (set at fit,
-        #: possibly demoted to ``"blocked"`` by the fallback guard).
-        self._stage1_active: Optional[str] = None
         self.extractor = FeatureExtractor(
             budget=budget,
             weights=weights,
@@ -155,25 +106,12 @@ class KAttributor:
         )
         self._known: Optional[List[AliasDocument]] = None
         self._known_matrix: Optional[sparse.csr_matrix] = None
-        self._index: Optional[ShardedIndex] = None
 
     @property
     def known_documents(self) -> List[AliasDocument]:
         if self._known is None:
             raise NotFittedError("KAttributor.fit has not been called")
         return self._known
-
-    @property
-    def active_stage1(self) -> str:
-        """The strategy :meth:`reduce` will actually run.
-
-        Identical to ``self.stage1`` unless that is ``"auto"``, in
-        which case this is the cost model's measured pick (or
-        ``"blocked"`` before :meth:`fit`).
-        """
-        if self.stage1 != "auto":
-            return self.stage1
-        return self._stage1_active or "blocked"
 
     def fit(self, known: Sequence[AliasDocument]) -> "KAttributor":
         """Index the known aliases (the paper's set Z)."""
@@ -182,44 +120,6 @@ class KAttributor:
         with span("kattribution.fit", n_known=len(known), k=self.k):
             self._known = list(known)
             self._known_matrix = self.extractor.fit_transform(self._known)
-            self._index = None
-            if self.stage1 == "auto":
-                self._stage1_active = choose_stage1(
-                    self._known_matrix, self.k)
-            if self.active_stage1 == "invindex":
-                self.rebuild_index()
-        return self
-
-    def rebuild_index(self, jobs: Optional[int] = None) -> "KAttributor":
-        """(Re)build the sharded inverted index over the known matrix.
-
-        Called by :meth:`fit` when the active strategy is
-        ``"invindex"``, and by the incremental path after it swaps a
-        grown known matrix in.  *jobs* overrides the constructor's
-        ``build_jobs`` for this build.
-        """
-        if self._known_matrix is None:
-            raise NotFittedError("KAttributor.fit has not been called")
-        jobs = self.build_jobs if jobs is None else int(jobs)
-        with span("kattribution.build_index",
-                  n_known=self._known_matrix.shape[0],
-                  shards=self.shards, jobs=jobs):
-            self._index = ShardedIndex(self._known_matrix,
-                                       shards=self.shards, jobs=jobs)
-        return self
-
-    def attach_index(self, index: ShardedIndex) -> "KAttributor":
-        """Adopt a prebuilt :class:`~repro.perf.invindex.ShardedIndex`
-        (the snapshot load path — posting arrays may be mmap-backed
-        views, skipping the build entirely)."""
-        if self._known_matrix is None:
-            raise NotFittedError("KAttributor.fit has not been called")
-        if index.n_docs != self._known_matrix.shape[0]:
-            raise ConfigurationError(
-                f"index covers {index.n_docs} rows, known matrix has "
-                f"{self._known_matrix.shape[0]}")
-        self._index = index
-        self.shards = index.n_shards
         return self
 
     def scores(self, unknowns: Sequence[AliasDocument]) -> np.ndarray:
@@ -229,51 +129,20 @@ class KAttributor:
         unknown_matrix = self.extractor.transform(unknowns)
         return cosine_similarity(unknown_matrix, self._known_matrix)
 
-    def reduce(self, unknowns: Sequence[AliasDocument],
-               executor: Optional[object] = None) -> List[Candidates]:
-        """Return the top-k candidate sets for each unknown alias.
-
-        *executor* optionally fans the ``"invindex"`` strategy's shard
-        scoring over a :class:`~repro.perf.parallel.ParallelExecutor`;
-        the other strategies ignore it.  Every strategy produces the
-        same candidate sets bit for bit.
-        """
+    def reduce(self, unknowns: Sequence[AliasDocument]) -> List[Candidates]:
+        """Return the top-k candidate sets for each unknown alias."""
         if self._known_matrix is None:
             raise NotFittedError("KAttributor.fit has not been called")
-        active = self.active_stage1
         with span("kattribution.reduce", n_unknowns=len(unknowns),
-                  k=self.k, stage1=active):
+                  k=self.k):
             unknown_matrix = self.extractor.transform(unknowns)
-            if active == "invindex":
-                if self._index is None:
-                    self.rebuild_index()
-                visited_before = _IVX_VISITED.value
-                dense_before = _IVX_DENSE.value
-                indices, values = self._index.top_k(
-                    unknown_matrix, self.k, executor=executor)
-                visited = _IVX_VISITED.value - visited_before
-                dense = _IVX_DENSE.value - dense_before
-                if dense > 0 and visited > dense:
-                    # Pathological corpus: the staged scan did *more*
-                    # work than dense scoring would have (visited
-                    # fraction > 1).  Record it, and under auto demote
-                    # to blocked for the queries still to come — this
-                    # batch's results are already exact.
-                    _IVX_FALLBACK.inc()
-                    if self.stage1 == "auto":
-                        self._stage1_active = "blocked"
-            elif active == "dense":
-                # The one-shot similarity matrix: simplest, largest.
-                indices, values = top_k(
-                    cosine_similarity(unknown_matrix,
-                                      self._known_matrix), self.k)
-            else:
-                # Score in column blocks so the dense (unknowns x
-                # known) matrix never materializes whole; the fold is
-                # bit-equal to top_k over the one-shot scores.
-                indices, values = blocked_top_k(
-                    unknown_matrix, self._known_matrix, self.k,
-                    self.block_size)
+            # Score in column blocks so the dense (unknowns x known)
+            # matrix never materializes whole; the fold is bit-equal
+            # to top_k over the one-shot scores, and a corpus within
+            # one block is exactly that one-shot computation.
+            indices, values = blocked_top_k(
+                unknown_matrix, self._known_matrix, self.k,
+                self.block_size)
             results: List[Candidates] = []
             for row, unknown in enumerate(unknowns):
                 docs = tuple(self._known[int(i)] for i in indices[row])

@@ -412,19 +412,6 @@ class AliasLinker:
         Known-corpus rows scored per stage-1 block (memory bound);
         ``None`` resolves through ``REPRO_BLOCK_SIZE``.  Resolved once
         at construction; ``self.block_size`` is always a concrete int.
-    stage1:
-        Stage-1 scoring strategy: ``"blocked"`` (default), ``"dense"``,
-        ``"invindex"`` (term-pruned sharded inverted index) or
-        ``"auto"`` (cost model measures the fitted corpus and picks
-        one of the three).  Every choice returns bit-identical
-        candidate sets; see ``docs/performance.md`` for when each wins.
-    shards:
-        Partition count for the ``"invindex"`` index; ``None`` resolves
-        through ``REPRO_SHARDS`` (default 1).
-    build_jobs:
-        Worker processes for the inverted-index build (per-shard
-        postings in parallel, bit-identical to serial); ``None``/1
-        builds serially.
     breaker:
         Optional :class:`~repro.resilience.degrade.CircuitBreaker`
         guarding stage 2: after enough consecutive restage failures it
@@ -443,9 +430,6 @@ class AliasLinker:
                  workers: Optional[int] = None,
                  cache: Union[bool, ProfileCache] = True,
                  block_size: Optional[int] = None,
-                 stage1: str = "blocked",
-                 shards: Optional[int] = None,
-                 build_jobs: Optional[int] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         if k < 1:
             raise ConfigurationError(
@@ -476,16 +460,10 @@ class AliasLinker:
             use_structure=use_structure,
             encoder=self.encoder,
             block_size=block_size,
-            stage1=stage1,
-            shards=shards,
-            build_jobs=build_jobs,
         )
-        # The reducer resolves the perf knobs exactly once; mirror the
-        # concrete values here so manifests and snapshots read them
+        # The reducer resolves the block size exactly once; mirror the
+        # concrete value here so manifests and snapshots read it
         # without re-consulting the environment.
-        self.stage1 = self.reducer.stage1
-        self.shards = self.reducer.shards
-        self.build_jobs = self.reducer.build_jobs
         self.block_size = self.reducer.block_size
         self._known: Optional[List[AliasDocument]] = None
         #: Bumped on every (re)fit; keys the persistent restage pool so
@@ -754,14 +732,12 @@ class AliasLinker:
     def _reduce_isolated(self, pending: Sequence[AliasDocument],
                          skipped: Dict[str, SkippedUnknown],
                          store: Optional[CheckpointStore],
-                         executor: Optional[ParallelExecutor] = None,
                          ) -> List[Candidates]:
         """Stage 1 with per-document error isolation.
 
         The fast path reduces the whole batch in one matrix operation;
         if that raises, the batch is retried one document at a time so
-        only the genuinely bad documents are quarantined.  *executor*
-        is forwarded to the reducer for ``"invindex"`` shard fan-out.
+        only the genuinely bad documents are quarantined.
         """
         if not pending:
             return []
@@ -774,7 +750,7 @@ class AliasLinker:
                     for u in pending
                 ]
             try:
-                return self.reducer.reduce(pending, executor=executor)
+                return self.reducer.reduce(pending)
             except Exception:
                 survivors: List[Candidates] = []
                 for unknown in pending:
@@ -843,23 +819,17 @@ class AliasLinker:
                                 "search-space reduction",
                                 "deadline", skipped, store)
                 pending = []
-            # Guarded runs stay fully serial (the budget clock and
-            # breaker live here and must see every call); otherwise one
-            # executor serves both the stage-1 shard fan-out and the
-            # restage, so its persistent pool is forked at most once.
-            executor = None if guarded else ParallelExecutor(self.workers)
-            if executor is None:
-                reduced = self._reduce_isolated(pending, skipped, store)
-            else:
-                reduced = self._reduce_isolated(pending, skipped, store,
-                                                executor=executor)
+            reduced = self._reduce_isolated(pending, skipped, store)
             self._warm(c.unknown for c in reduced)
+            # Guarded runs stay fully serial: the budget clock and
+            # breaker live here and must see every call.
             if guarded:
                 with span("linker.restage", n_unknowns=len(reduced),
                           workers=1):
                     outcomes = [self._stage2_guarded(c, budget)
                                 for c in reduced]
             else:
+                executor = ParallelExecutor(self.workers)
                 chunk = _restage_chunk_size(len(reduced),
                                             executor.workers)
                 chunks = [list(reduced[i:i + chunk])

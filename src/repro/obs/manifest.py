@@ -64,7 +64,6 @@ TIMING_FIELDS: Tuple[str, ...] = ("created_at", "elapsed_s")
 ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_WORKERS",
     "REPRO_BLOCK_SIZE",
-    "REPRO_SHARDS",
     "REPRO_CACHE",
     "REPRO_FAULT_SEED",
     "REPRO_FAULT_RATE",
@@ -76,8 +75,6 @@ ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_SCALE",
     "REPRO_BENCH_SIZES",
     "REPRO_BENCH_WORKERS",
-    "REPRO_BENCH_STAGE1",
-    "REPRO_BENCH_SHARDS",
 )
 
 

@@ -1,7 +1,7 @@
-"""Performance subsystem: profile caching, parallel restage, blocked
-and inverted-index stage-1 scoring.
+"""Performance subsystem: profile caching, parallel restage and
+blocked stage-1 scoring.
 
-Four levers that together let the two-stage linker scale to corpus
+Three levers that together let the two-stage linker scale to corpus
 sizes the paper never touched:
 
 * :class:`~repro.perf.cache.ProfileCache` — every document's raw
@@ -13,16 +13,11 @@ sizes the paper never touched:
   read-only and deterministic, order-stable output;
 * :func:`~repro.perf.blocked.blocked_top_k` — stage-1 similarity is
   scored in column blocks with the top-k folded per block, so the
-  dense ``(n_unknowns, n_known)`` matrix never materializes whole;
-* :class:`~repro.perf.invindex.ShardedIndex` — stage-1 goes
-  *sublinear*: a term-pruned inverted index visits only the posting
-  mass the top-k actually needs, sharded into independently scored,
-  exactly merged partitions — bit-identical to ``blocked_top_k``.
+  dense ``(n_unknowns, n_known)`` matrix never materializes whole.
 
 Tuning knobs: ``REPRO_WORKERS`` (or ``link --workers`` / the linkers'
-``workers=`` parameter), ``REPRO_BLOCK_SIZE`` (or ``block_size=``),
-``REPRO_SHARDS`` (or ``link --shards`` / ``shards=``) and the linkers'
-``stage1=`` strategy selector.  See ``docs/performance.md``.
+``workers=`` parameter) and ``REPRO_BLOCK_SIZE`` (or ``block_size=``).
+See ``docs/performance.md``.
 """
 
 from repro.perf.blocked import (
@@ -32,18 +27,9 @@ from repro.perf.blocked import (
     resolve_block_size,
 )
 from repro.perf.cache import ProfileCache
-from repro.perf.invindex import (
-    DEFAULT_SHARDS,
-    SHARDS_ENV,
-    InvertedIndex,
-    ShardedIndex,
-    choose_stage1,
-    resolve_shards,
-)
 from repro.perf.parallel import (
     WORKERS_ENV,
     ParallelExecutor,
-    gated_serial,
     resolve_workers,
     shutdown_pools,
 )
@@ -51,18 +37,11 @@ from repro.perf.parallel import (
 __all__ = [
     "BLOCK_SIZE_ENV",
     "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_SHARDS",
-    "InvertedIndex",
     "ParallelExecutor",
     "ProfileCache",
-    "SHARDS_ENV",
-    "ShardedIndex",
     "WORKERS_ENV",
     "blocked_top_k",
-    "choose_stage1",
-    "gated_serial",
     "resolve_block_size",
-    "resolve_shards",
     "resolve_workers",
     "shutdown_pools",
 ]

@@ -61,9 +61,8 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, gauge, get_registry
 from repro.obs.spans import Span, get_tracer
 
-__all__ = ["ParallelExecutor", "available_cores", "gated_serial",
-           "resolve_workers", "shutdown_pools", "GATE_ENV",
-           "WORKERS_ENV"]
+__all__ = ["ParallelExecutor", "available_cores", "resolve_workers",
+           "shutdown_pools", "GATE_ENV", "WORKERS_ENV"]
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -219,27 +218,6 @@ def _gate_enabled() -> bool:
     if raw is None:
         return True
     return raw.strip().lower() not in ("0", "off", "false", "no")
-
-
-def gated_serial(workers: Optional[int] = None) -> bool:
-    """Would an executor with *workers* take the serial path?
-
-    True when any of the serial-degrade conditions in :meth:`map` /
-    :meth:`map_shared` would fire: one worker, nested use from inside
-    a pool worker, no ``fork`` start method, or the available-core
-    gate (more workers requested than cores, with ``REPRO_PARALLEL_GATE``
-    on).  Callers with a cheaper native serial path — e.g. the sharded
-    index build, where the fallback would construct every shard twice —
-    consult this up front instead of paying the degraded pool path.
-    """
-    workers = resolve_workers(workers)
-    if workers <= 1:
-        return True
-    if _PAYLOAD is not None or _IN_WORKER:
-        return True
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return True
-    return _gate_enabled() and workers > available_cores()
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

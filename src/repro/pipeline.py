@@ -35,7 +35,6 @@ from repro.forums.models import Forum
 from repro.obs.logging import get_logger
 from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
-from repro.perf.invindex import resolve_shards
 from repro.resilience.degrade import DeadlineBudget
 from repro.resilience.faults import GUARD_POLICY_DELAYS, get_fault_plan
 from repro.resilience.policy import RetryPolicy
@@ -85,11 +84,6 @@ class LinkingPipeline:
         Profile-caching policy and stage-1 scoring block size,
         forwarded to the linker (see
         :class:`~repro.core.linker.AliasLinker`).
-    stage1 / shards / build_jobs:
-        Stage-1 scoring strategy (``"dense"``, ``"blocked"``,
-        ``"invindex"`` or ``"auto"``), inverted-index shard count and
-        index-build parallelism, forwarded to the linker.  Every
-        strategy produces bit-identical links.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
@@ -99,10 +93,7 @@ class LinkingPipeline:
                  retry_policy: Optional[RetryPolicy] = None,
                  workers: Optional[int] = None,
                  cache: bool = True,
-                 block_size: Optional[int] = None,
-                 stage1: str = "blocked",
-                 shards: Optional[int] = None,
-                 build_jobs: Optional[int] = None) -> None:
+                 block_size: Optional[int] = None) -> None:
         self.config = config or PipelineConfig()
         self.cleaning = cleaning or CleaningConfig()
         self.weights = weights or FeatureWeights()
@@ -111,9 +102,6 @@ class LinkingPipeline:
         self.workers = workers
         self.cache = cache
         self.block_size = block_size
-        self.stage1 = stage1
-        self.shards = shards
-        self.build_jobs = build_jobs
         self.report = PipelineReport()
 
     def manifest_config(self) -> Dict[str, object]:
@@ -140,9 +128,6 @@ class LinkingPipeline:
             # default), so the manifest states the concrete values the
             # run actually used, not "None, ask the environment".
             "block_size": resolve_block_size(self.block_size),
-            "stage1": self.stage1,
-            "shards": resolve_shards(self.shards),
-            "build_jobs": self.build_jobs or 1,
         }
 
     def _guard(self, site: str, fn, *args, **kwargs):
@@ -224,9 +209,6 @@ class LinkingPipeline:
                 workers=self.workers,
                 cache=self.cache,
                 block_size=self.block_size,
-                stage1=self.stage1,
-                shards=self.shards,
-                build_jobs=self.build_jobs,
             )
         return AliasLinker(
             k=self.config.k,
@@ -239,9 +221,6 @@ class LinkingPipeline:
             workers=self.workers,
             cache=self.cache,
             block_size=self.block_size,
-            stage1=self.stage1,
-            shards=self.shards,
-            build_jobs=self.build_jobs,
         )
 
     def link_documents(self, known: List[AliasDocument],

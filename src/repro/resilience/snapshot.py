@@ -7,11 +7,15 @@ serializes a fitted :class:`~repro.core.linker.AliasLinker` or
 :class:`~repro.core.batch.BatchedLinker` — documents, shared
 :class:`~repro.core.ngrams.WordVocab`, warm
 :class:`~repro.perf.cache.ProfileCache` profiles, and (for the alias
-linker) the fitted reduction feature space, known-corpus matrix and —
-when stage 1 runs the sharded inverted index — the per-shard posting
-arrays — into one versioned snapshot file with an integrity manifest.
-Saved shards load as zero-copy (mmap-backed) views, so a service
-restart skips the index build entirely.
+linker) the fitted reduction feature space and known-corpus matrix —
+into one versioned snapshot file with an integrity manifest.  Saved
+arrays load as zero-copy (mmap-backed) views, so a service restart
+skips the fit entirely.
+
+Files written by older builds may carry the posting sections of the
+removed inverted-index stage 1 and a ``config["stage1"]`` entry.  They
+still verify (every section is checksummed) and load; the posting
+sections were derived state and are ignored.
 
 **Format** (all integers little-endian)::
 
@@ -250,11 +254,6 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
         "reduction_budget": asdict(reduction_budget),
         "final_budget": asdict(linker.final_budget),
         "n_known": len(linker._known),
-        # Stage-1 strategy is not semantic (every choice scores
-        # bit-identically) but "auto" must survive a round trip so the
-        # cost model re-resolves on the restored corpus instead of
-        # silently pinning whatever the save-time pick was.
-        "stage1": linker.stage1,
     }
     if algo == "alias-linker":
         config["use_reduction"] = linker.use_reduction
@@ -302,30 +301,6 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
             ("reduction.matrix.indices", "ndarray", matrix.indices),
             ("reduction.matrix.indptr", "ndarray", matrix.indptr),
         ])
-        # The inverted index is derived state, but rebuilding it on a
-        # big corpus costs a full pass + sorts — save the posting
-        # arrays so loads can adopt them as zero-copy views.  stage1
-        # stays out of the semantic config (every strategy scores
-        # bit-identically); the sections' presence records the build.
-        # Saved whenever an index exists — including stage1="auto"
-        # runs whose cost model picked invindex.  main_ends restores
-        # live delta segments: rows past a shard's main end carry no
-        # postings and are re-scored exactly on load, bit-identically.
-        index = linker.reducer._index
-        if index is not None:
-            sections.append((
-                "invindex.meta", "json",
-                {"bounds": [int(b) for b in index.bounds],
-                 "n_shards": index.n_shards,
-                 "main_ends": [int(m) for m in index.main_ends]}))
-            for i, shard in enumerate(index._shards):
-                data, rows, indptr, maxw = shard.postings
-                sections.extend([
-                    (f"invindex.shard{i}.data", "ndarray", data),
-                    (f"invindex.shard{i}.rows", "ndarray", rows),
-                    (f"invindex.shard{i}.indptr", "ndarray", indptr),
-                    (f"invindex.shard{i}.maxw", "ndarray", maxw),
-                ])
     return algo, config, sections
 
 
@@ -734,24 +709,14 @@ def _rebuild_cache(sections: Dict[str, Any], enabled: bool) -> Any:
 def _rebuild_linker(header: Dict[str, Any],
                     sections: Dict[str, Any],
                     workers: Optional[int], cache: bool,
-                    block_size: Optional[int],
-                    stage1: Optional[str] = None,
-                    shards: Optional[int] = None) -> Any:
+                    block_size: Optional[int]) -> Any:
     from repro.core.batch import BatchedLinker
     from repro.core.features import FeatureWeights
     from repro.core.linker import AliasLinker
     from repro.core.tfidf import TfidfModel
-    from repro.perf.invindex import ShardedIndex
 
     config = header["config"]
     algo = header["algo"]
-    if stage1 is None:
-        # Resume the saved strategy when the snapshot records one
-        # (notably "auto", which re-resolves below); older snapshots
-        # fall back to section sniffing — posting sections mean the
-        # index was built by an invindex linker.
-        stage1 = config.get("stage1") or (
-            "invindex" if "invindex.meta" in sections else "blocked")
     documents = [_restore_document(r) for r in sections["documents"]]
     if len(documents) != config["n_known"]:
         raise SnapshotError(
@@ -775,8 +740,6 @@ def _rebuild_linker(header: Dict[str, Any],
             workers=workers,
             cache=profile_cache,
             block_size=block_size,
-            stage1=stage1,
-            shards=shards,
         )
         linker._known = documents
         return linker
@@ -793,8 +756,6 @@ def _rebuild_linker(header: Dict[str, Any],
         workers=workers,
         cache=profile_cache,
         block_size=block_size,
-        stage1=stage1,
-        shards=shards,
     )
     linker._known = documents
     reducer = linker.reducer
@@ -818,48 +779,12 @@ def _rebuild_linker(header: Dict[str, Any],
     matrix.has_sorted_indices = True
     matrix.has_canonical_format = True
     reducer._known_matrix = matrix
-    if stage1 == "auto":
-        # The cost model needs a corpus to measure; now that the
-        # matrix is restored, resolve the choice exactly as fit would.
-        from repro.perf.invindex import choose_stage1
-
-        reducer._stage1_active = choose_stage1(matrix, reducer.k)
-    if reducer.active_stage1 == "invindex":
-        meta = sections.get("invindex.meta")
-        saved = None
-        if meta is not None and (
-                shards is None
-                or int(shards) == int(meta["n_shards"])):
-            try:
-                postings = [
-                    (sections[f"invindex.shard{i}.data"],
-                     sections[f"invindex.shard{i}.rows"],
-                     sections[f"invindex.shard{i}.indptr"],
-                     sections[f"invindex.shard{i}.maxw"])
-                    for i in range(int(meta["n_shards"]))
-                ]
-                saved = ShardedIndex.from_postings(
-                    matrix, meta["bounds"], postings,
-                    # Older snapshots predate delta segments; their
-                    # postings always cover whole shards.
-                    main_ends=meta.get("main_ends"))
-            except KeyError:
-                saved = None  # partial save: fall through to a build
-        if saved is not None:
-            reducer.attach_index(saved)
-        else:
-            # No usable saved shards (snapshot written by a blocked
-            # run, or the caller asked for a different shard count):
-            # build from the restored matrix.
-            reducer.rebuild_index()
-        linker.shards = reducer.shards
     return linker
 
 
 def load_index(path: Union[str, Path], workers: Optional[int] = None,
                cache: bool = True, block_size: Optional[int] = None,
-               mmap: bool = True, stage1: Optional[str] = None,
-               shards: Optional[int] = None) -> Any:
+               mmap: bool = True) -> Any:
     """Load a verified snapshot into a ready-to-link linker.
 
     Every section checksum, the header checksum, the format version
@@ -868,13 +793,8 @@ def load_index(path: Union[str, Path], workers: Optional[int] = None,
     first damaged section.  With *mmap* (default, plain loads only)
     the numpy sections stay memory-mapped views of the file.
 
-    *workers*, *cache*, *block_size*, *stage1* and *shards* are
-    load-time perf knobs — they never change the scores a loaded
-    linker produces.  ``stage1=None`` resumes whatever strategy the
-    snapshot was built with (``"invindex"`` when posting sections are
-    present, else ``"blocked"``); a saved index is adopted as
-    zero-copy views unless *shards* asks for a different partition
-    count, in which case it is rebuilt from the restored matrix.
+    *workers*, *cache* and *block_size* are load-time perf knobs —
+    they never change the scores a loaded linker produces.
     """
     path = Path(path)
     with span("snapshot.load", path=str(path)):
@@ -906,8 +826,7 @@ def load_index(path: Union[str, Path], workers: Optional[int] = None,
             for entry in header["sections"]
         }
         linker = _rebuild_linker(header, sections, workers=workers,
-                                 cache=cache, block_size=block_size,
-                                 stage1=stage1, shards=shards)
+                                 cache=cache, block_size=block_size)
     _LOADED.inc()
     log.info("snapshot.load", path=str(path), algo=header["algo"],
              n_known=header["config"]["n_known"],

@@ -33,6 +33,19 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             BatchedLinker(threshold=-0.1)
 
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_non_positive_block_size_rejected_at_construction(
+            self, block_size):
+        with pytest.raises(ConfigurationError) as excinfo:
+            BatchedLinker(batch_size=20, block_size=block_size)
+        assert "block_size" in str(excinfo.value)
+
+    def test_block_size_resolved_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "33")
+        linker = BatchedLinker(batch_size=20)
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "0")
+        assert linker.block_size == 33
+
     def test_link_before_fit(self, reddit_alter_egos):
         with pytest.raises(ConfigurationError):
             BatchedLinker().link(reddit_alter_egos.alter_egos[:1])

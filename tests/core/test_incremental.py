@@ -127,51 +127,42 @@ class TestConsistency:
             assert a.score == pytest.approx(b.score)
 
 
-class TestIncrementalIndex:
-    """add_known under stage1="invindex" extends the live index
-    through its delta segment instead of rebuilding it."""
+class TestIncrementalAppend:
+    """add_known appends rows to the known matrix; prior rows keep
+    their exact values and stage 1 sees the grown corpus."""
 
-    def test_add_known_extends_index_in_place(self, reddit_alter_egos,
-                                              split_known):
+    def test_add_known_appends_rows(self, split_known):
         initial, extra = split_known
         if not extra:
             pytest.skip("fixture too small")
-        linker = IncrementalLinker(threshold=0.0, stage1="invindex",
-                                   shards=2)
-        linker.fit(initial)
+        linker = IncrementalLinker(threshold=0.0).fit(initial)
         reducer = linker._linker.reducer
-        index_before = reducer._index
-        assert index_before is not None
+        before = reducer._known_matrix.copy()
         linker.add_known(extra)
-        # Same index object, grown — not a from-scratch rebuild.
-        # (On a corpus this small the append may immediately fold
-        # into the main segment; the in-place growth is the claim.)
-        assert reducer._index is index_before
-        assert reducer._index.n_docs == len(initial) + len(extra)
-        assert reducer._index.bounds[-1] == len(initial) + len(extra)
+        grown = reducer._known_matrix
+        assert grown.shape[0] == len(initial) + len(extra)
+        assert (grown[:before.shape[0]] != before).nnz == 0
 
-    def test_add_known_matches_rebuilt_index(self, reddit_alter_egos,
-                                             split_known):
+    @pytest.mark.parametrize("block_size", [3, 10 ** 6])
+    def test_add_known_matches_fresh_reduce(self, reddit_alter_egos,
+                                            split_known, block_size):
         initial, extra = split_known
         if not extra:
             pytest.skip("fixture too small")
         unknowns = reddit_alter_egos.alter_egos[:8]
-        linker = IncrementalLinker(threshold=0.0, stage1="invindex",
-                                   shards=2)
-        linker.fit(initial)
+        linker = IncrementalLinker(threshold=0.0).fit(initial)
         linker.add_known(extra)
         reduced = linker._linker.reducer.reduce(unknowns)
 
-        fresh = AliasLinker(threshold=0.0, stage1="invindex", shards=2)
+        fresh = AliasLinker(threshold=0.0, block_size=block_size)
         fresh.reducer.extractor = linker._linker.reducer.extractor
         fresh.reducer._known = linker._linker.reducer._known
         fresh.reducer._known_matrix = \
             linker._linker.reducer._known_matrix
-        fresh.reducer.rebuild_index()
         assert reduced == fresh.reducer.reduce(unknowns)
 
-    def test_build_jobs_threaded_through(self, split_known):
+    def test_block_size_threaded_through(self, split_known):
         initial, _ = split_known
-        linker = IncrementalLinker(build_jobs=2)
+        linker = IncrementalLinker(block_size=7)
         linker.fit(initial)
-        assert linker._linker.reducer.build_jobs == 2
+        assert linker._linker.reducer.block_size == 7

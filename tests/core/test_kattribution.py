@@ -90,109 +90,22 @@ class TestAccuracyAtK:
         assert acc_all[10] >= acc_text[10] - 0.05
 
 
-class _FakeCounter:
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount=1):
-        self.value += amount
-
-
-class TestStage1Auto:
-    def _fallback_total(self):
-        from repro.obs.metrics import get_registry
-        return get_registry().snapshot().get(
-            "invindex_fallback_total", {}).get("value", 0)
-
-    def test_auto_is_a_valid_choice(self):
-        assert KAttributor(stage1="auto").stage1 == "auto"
-
-    def test_active_defaults_blocked_before_fit(self):
-        assert KAttributor(stage1="auto").active_stage1 == "blocked"
-
-    def test_build_jobs_validated(self):
+class TestBlockSize:
+    def test_block_size_validated(self):
         with pytest.raises(ConfigurationError):
-            KAttributor(build_jobs=0)
+            KAttributor(block_size=0)
 
-    def test_auto_resolves_dense_on_small_fixture(
-            self, reddit_alter_egos):
-        attributor = KAttributor(k=10, stage1="auto")
-        attributor.fit(reddit_alter_egos.originals)
-        assert attributor.active_stage1 == "dense"
-        # A corpus the cost model routes to dense never pays for an
-        # inverted index it would not use.
-        assert attributor._index is None
+    def test_block_size_resolved_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "17")
+        attributor = KAttributor()
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "3")
+        assert attributor.block_size == 17
 
-    def test_auto_output_matches_blocked(self, reddit_alter_egos):
-        auto = KAttributor(k=10, stage1="auto")
-        auto.fit(reddit_alter_egos.originals)
-        blocked = KAttributor(k=10, stage1="blocked")
-        blocked.fit(reddit_alter_egos.originals)
-        assert auto.reduce(reddit_alter_egos.alter_egos) \
-            == blocked.reduce(reddit_alter_egos.alter_egos)
-
-    def test_pathological_visited_trips_fallback(
-            self, reddit_alter_egos, monkeypatch):
-        """When the staged scan visits more postings than dense
-        scoring would touch, the reducer must count a fallback and —
-        under auto — demote itself to blocked for future batches,
-        while the current batch stays exact."""
-        import repro.core.kattribution as katt_mod
-
-        attributor = KAttributor(k=10, stage1="auto")
-        attributor.fit(reddit_alter_egos.originals)
-        attributor._stage1_active = "invindex"
-        attributor.rebuild_index()
-
-        fake_visited, fake_dense = _FakeCounter(), _FakeCounter()
-        real_top_k = attributor._index.top_k
-
-        def noisy_top_k(*args, **kwargs):
-            fake_visited.inc(100)
-            fake_dense.inc(10)
-            return real_top_k(*args, **kwargs)
-
-        monkeypatch.setattr(attributor._index, "top_k", noisy_top_k)
-        monkeypatch.setattr(katt_mod, "_IVX_VISITED", fake_visited)
-        monkeypatch.setattr(katt_mod, "_IVX_DENSE", fake_dense)
-
-        before = self._fallback_total()
-        results = attributor.reduce(reddit_alter_egos.alter_egos)
-        assert self._fallback_total() == before + 1
-        assert attributor.active_stage1 == "blocked"
-
-        blocked = KAttributor(k=10, stage1="blocked")
-        blocked.fit(reddit_alter_egos.originals)
-        assert results == blocked.reduce(reddit_alter_egos.alter_egos)
-        # The demotion sticks: the next batch takes the blocked path
-        # without consulting the index again.
-        assert self._fallback_total() == before + 1
-        assert attributor.reduce(reddit_alter_egos.alter_egos) \
-            == results
-        assert self._fallback_total() == before + 1
-
-    def test_fixed_invindex_never_demotes(self, reddit_alter_egos,
-                                          monkeypatch):
-        import repro.core.kattribution as katt_mod
-
-        attributor = KAttributor(k=10, stage1="invindex")
-        attributor.fit(reddit_alter_egos.originals)
-
-        fake_visited, fake_dense = _FakeCounter(), _FakeCounter()
-        real_top_k = attributor._index.top_k
-
-        def noisy_top_k(*args, **kwargs):
-            fake_visited.inc(100)
-            fake_dense.inc(10)
-            return real_top_k(*args, **kwargs)
-
-        monkeypatch.setattr(attributor._index, "top_k", noisy_top_k)
-        monkeypatch.setattr(katt_mod, "_IVX_VISITED", fake_visited)
-        monkeypatch.setattr(katt_mod, "_IVX_DENSE", fake_dense)
-
-        before = self._fallback_total()
-        attributor.reduce(reddit_alter_egos.alter_egos)
-        # The counter still records the pathology ...
-        assert self._fallback_total() == before + 1
-        # ... but an explicit stage1 choice is honoured.
-        assert attributor.active_stage1 == "invindex"
+    def test_single_block_matches_tiny_blocks(self, reddit_alter_egos):
+        n_known = len(reddit_alter_egos.originals)
+        one_shot = KAttributor(k=10, block_size=n_known)
+        one_shot.fit(reddit_alter_egos.originals)
+        tiny = KAttributor(k=10, block_size=3)
+        tiny.fit(reddit_alter_egos.originals)
+        assert one_shot.reduce(reddit_alter_egos.alter_egos) \
+            == tiny.reduce(reddit_alter_egos.alter_egos)

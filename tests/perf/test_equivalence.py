@@ -1,10 +1,9 @@
 """Bit-identity of linking output across every perf configuration.
 
-The perf subsystem's contract is that caching, parallelism, blocked
-scoring and the inverted-index stage 1 are pure mechanics: ``link()``
-output is **identical** — not approximately equal — whether the cache
-is on or off, at any worker count, at any block size, under any stage-1
-strategy and shard count, and under checkpoint/resume.  Everything here
+The perf subsystem's contract is that caching, parallelism and blocked
+scoring are pure mechanics: ``link()`` output is **identical** — not
+approximately equal — whether the cache is on or off, at any worker
+count, at any block size, and under checkpoint/resume.  Everything here
 compares full ``LinkResult.to_dict()`` payloads for exact equality.
 """
 
@@ -57,28 +56,25 @@ class TestAliasLinkerEquivalence:
 
 
 class TestStage1Equivalence:
-    """Every stage-1 strategy produces the same bits end to end."""
+    """Every stage-1 block size produces the same bits end to end."""
 
-    def test_dense_is_bit_identical(self, reddit_alter_egos, baseline):
+    def test_single_block_is_bit_identical(self, reddit_alter_egos,
+                                           baseline):
+        # One block spanning the corpus is the one-shot top-k path.
+        n_known = len(reddit_alter_egos.originals)
         assert _run(reddit_alter_egos,
-                    stage1="dense").to_dict() == baseline
+                    block_size=n_known).to_dict() == baseline
 
-    @pytest.mark.parametrize("shards", [1, 3, 7])
-    def test_invindex_is_bit_identical(self, reddit_alter_egos,
-                                       baseline, shards):
-        assert _run(reddit_alter_egos, stage1="invindex",
-                    shards=shards).to_dict() == baseline
+    @pytest.mark.parametrize("block_size", [1, 2, 7])
+    def test_block_sizes_are_bit_identical(self, reddit_alter_egos,
+                                           baseline, block_size):
+        assert _run(reddit_alter_egos,
+                    block_size=block_size).to_dict() == baseline
 
-    def test_invindex_with_workers_is_bit_identical(
+    def test_blocks_with_workers_are_bit_identical(
             self, reddit_alter_egos, baseline):
-        assert _run(reddit_alter_egos, stage1="invindex", shards=3,
+        assert _run(reddit_alter_egos, block_size=7,
                     workers=2).to_dict() == baseline
-
-    def test_invindex_everything_at_once(self, reddit_alter_egos,
-                                         baseline):
-        assert _run(reddit_alter_egos, stage1="invindex", shards=2,
-                    workers=4, cache=False,
-                    block_size=5).to_dict() == baseline
 
     def test_rescore_batch_matches_rescore(self, reddit_alter_egos):
         linker = AliasLinker(threshold=0.4)

@@ -98,8 +98,42 @@ class TestRoundTrip:
             save_index(AliasLinker(), tmp_path / "nope.snap")
 
 
+def _write_legacy_snapshot(linker, path):
+    """Write *linker* the way older builds did with the inverted-index
+    stage 1: two shards of posting sections plus ``config["stage1"]``.
+    """
+    import numpy as np
+
+    from repro.resilience.snapshot import _collect_state, \
+        _encode_snapshot, _write_atomic
+
+    algo, config, sections = _collect_state(linker)
+    config["stage1"] = "invindex"
+    matrix = linker.reducer._known_matrix
+    n_docs = matrix.shape[0]
+    bounds = [0, n_docs // 2, n_docs]
+    sections.append(("invindex.meta", "json",
+                     {"bounds": bounds, "n_shards": 2,
+                      "main_ends": bounds[1:]}))
+    for i in range(2):
+        shard = matrix[bounds[i]:bounds[i + 1]].tocsc()
+        maxw = np.asarray(abs(shard).max(axis=0).todense(),
+                          dtype=np.float32).ravel()
+        sections.extend([
+            (f"invindex.shard{i}.data", "ndarray",
+             shard.data.astype(np.float32)),
+            (f"invindex.shard{i}.rows", "ndarray",
+             shard.indices.astype(np.int32)),
+            (f"invindex.shard{i}.indptr", "ndarray",
+             shard.indptr.astype(np.int64)),
+            (f"invindex.shard{i}.maxw", "ndarray", maxw),
+        ])
+    _write_atomic(path, _encode_snapshot(algo, config, sections))
+
+
 class TestInvindexSnapshot:
-    """Invindex snapshots: per-shard posting sections round-trip."""
+    """Snapshots written by older builds with the inverted-index stage
+    1 still verify and load; their posting sections are ignored."""
 
     @pytest.fixture(scope="class")
     def baseline(self, corpus):
@@ -110,62 +144,59 @@ class TestInvindexSnapshot:
     @pytest.fixture()
     def snap(self, corpus, tmp_path):
         known, _ = corpus
-        linker = AliasLinker(threshold=0.0, stage1="invindex",
-                             shards=3).fit(known)
         path = tmp_path / "invindex.snap"
-        save_index(linker, path)
+        _write_legacy_snapshot(AliasLinker(threshold=0.0).fit(known),
+                               path)
         return path
 
-    def test_load_autodetects_and_attaches(self, corpus, snap,
-                                           baseline):
+    def test_invindex_snapshot_verifies(self, snap, capsys):
+        from repro.cli import main
+
+        report = verify_index(snap)
+        assert report.ok
+        info = snapshot_info(snap)
+        assert info["config"]["stage1"] == "invindex"
+        names = {s["name"] for s in info["sections"]}
+        assert "invindex.meta" in names
+        assert "invindex.shard0.data" in names
+        assert "invindex.shard1.maxw" in names
+        assert main(["index", "info", str(snap)]) == 0
+        assert "algo: alias-linker" in capsys.readouterr().out
+
+    def test_load_ignores_postings(self, corpus, snap, baseline):
         _, unknowns = corpus
         loaded = load_index(snap)
-        assert loaded.stage1 == "invindex"
-        # The saved shards were adopted, not rebuilt.
-        assert loaded.reducer._index is not None
-        assert loaded.reducer._index.n_shards == 3
-        assert loaded.shards == 3
         assert _result_json(loaded.link(unknowns)) == baseline
 
     def test_mmap_load_bit_identical(self, corpus, snap, baseline):
         _, unknowns = corpus
-        loaded = load_index(snap, mmap=True)
-        assert loaded.reducer._index is not None
-        assert _result_json(loaded.link(unknowns)) == baseline
+        for mmap in (True, False):
+            loaded = load_index(snap, mmap=mmap)
+            assert _result_json(loaded.link(unknowns)) == baseline
 
-    def test_shard_count_mismatch_rebuilds(self, corpus, snap,
-                                           baseline):
-        _, unknowns = corpus
-        loaded = load_index(snap, shards=2)
-        assert loaded.reducer._index.n_shards == 2
-        assert _result_json(loaded.link(unknowns)) == baseline
+    def test_damaged_posting_section_is_named(self, snap, tmp_path):
+        header = snapshot_info(snap)
+        entry = next(s for s in header["sections"]
+                     if s["name"] == "invindex.shard1.maxw")
+        data_start = header["expected_bytes"] - max(
+            s["offset"] + s["nbytes"] for s in header["sections"])
+        blob = bytearray(snap.read_bytes())
+        blob[data_start + entry["offset"] + entry["nbytes"] // 2] ^= 0x10
+        bad = tmp_path / "damaged.snap"
+        bad.write_bytes(bytes(blob))
+        assert verify_index(bad).damaged() == ["invindex.shard1.maxw"]
+        with pytest.raises(SnapshotError) as exc:
+            load_index(bad)
+        assert exc.value.section == "invindex.shard1.maxw"
 
-    def test_stage1_override_to_blocked(self, corpus, snap, baseline):
-        _, unknowns = corpus
-        loaded = load_index(snap, stage1="blocked")
-        assert loaded.stage1 == "blocked"
-        assert _result_json(loaded.link(unknowns)) == baseline
-
-    def test_blocked_snapshot_loads_as_invindex(self, corpus,
-                                                tmp_path, baseline):
-        # A snapshot written by a blocked linker has no posting
-        # sections; asking for invindex at load time builds the index
-        # from the saved matrix.
-        known, unknowns = corpus
-        path = tmp_path / "blocked.snap"
+    def test_new_snapshots_carry_no_postings(self, corpus, tmp_path):
+        known, _ = corpus
+        path = tmp_path / "fresh.snap"
         save_index(AliasLinker(threshold=0.0).fit(known), path)
-        loaded = load_index(path, stage1="invindex", shards=2)
-        assert loaded.stage1 == "invindex"
-        assert loaded.reducer._index.n_shards == 2
-        assert _result_json(loaded.link(unknowns)) == baseline
-
-    def test_invindex_snapshot_verifies(self, snap):
-        report = verify_index(snap)
-        assert report.ok
-        names = {s["name"] for s in snapshot_info(snap)["sections"]}
-        assert "invindex.meta" in names
-        assert "invindex.shard0.data" in names
-        assert "invindex.shard2.indptr" in names
+        info = snapshot_info(path)
+        assert "stage1" not in info["config"]
+        assert not [s for s in info["sections"]
+                    if s["name"].startswith("invindex.")]
 
 
 class TestVerify:
@@ -326,44 +357,3 @@ class TestUnderFsFaults:
             assert _result_json(replay) == _result_json(direct)
         assert fs_chaos.injected > 0, \
             "the chaos run never actually saw a fault"
-
-
-class TestDeltaSnapshot:
-    """Indexes carrying a live delta segment snapshot and restore
-    without folding it — and stay bit-identical."""
-
-    def test_live_delta_round_trips(self, corpus, tmp_path):
-        from repro.core.incremental import IncrementalLinker
-
-        known, unknowns = corpus
-        inc = IncrementalLinker(threshold=0.0, stage1="invindex",
-                                shards=2)
-        inc.fit(known[:-2])
-        inc.add_known(known[-2:])
-        linker = inc._linker
-        index = linker.reducer._index
-        if index.n_delta == 0:
-            pytest.skip("fixture too small to keep a live delta")
-        baseline = _result_json(linker.link(unknowns))
-
-        path = tmp_path / "delta.snap"
-        save_index(linker, path)
-        loaded = load_index(path)
-        restored = loaded.reducer._index
-        assert restored is not None
-        assert restored.n_delta == index.n_delta
-        assert restored.main_ends == index.main_ends
-        assert _result_json(loaded.link(unknowns)) == baseline
-
-    def test_auto_snapshot_resolves_on_load(self, corpus, tmp_path):
-        known, unknowns = corpus
-        linker = AliasLinker(threshold=0.0, stage1="auto").fit(known)
-        baseline = _result_json(linker.link(unknowns))
-        path = tmp_path / "auto.snap"
-        save_index(linker, path)
-        loaded = load_index(path)
-        assert loaded.stage1 == "auto"
-        # The cost model re-resolves on the restored matrix: the
-        # fixture corpus is far below the dense ceiling.
-        assert loaded.reducer.active_stage1 == "dense"
-        assert _result_json(loaded.link(unknowns)) == baseline

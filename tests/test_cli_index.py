@@ -178,39 +178,50 @@ class TestLinkDeadline:
         assert out_plain == out_rich
 
 
-class TestBuildJobs:
-    def test_jobs_flag_and_manifest_provenance(self, world_dir,
-                                               snapshot, tmp_path,
-                                               capsys):
-        """--jobs N builds an identical snapshot and records the build
-        parallelism + wall time in the run manifest."""
+class TestManifest:
+    def test_build_manifest_provenance(self, world_dir, tmp_path,
+                                       capsys):
+        """index build records its wall time in the run manifest."""
         import json
 
         from repro.obs.manifest import manifest_path_for
 
-        out = tmp_path / "jobs.snap"
         trace = tmp_path / "trace.json"
         code = main(["--trace", str(trace), "index", "build",
                      "--known", str(world_dir / "dm.jsonl"),
-                     "--out", str(out), "--jobs", "2"])
-        captured = capsys.readouterr().out
+                     "--out", str(tmp_path / "built.snap")])
         assert code == 0
-        assert "2 build job(s)" in captured
-        # Parallelism only reorders the build; the snapshot bytes
-        # cannot change.
-        assert out.read_bytes() == snapshot.read_bytes()
-
-        manifest = json.loads(
-            manifest_path_for(trace).read_text())
-        config = manifest["config"]
-        assert config["build_jobs"] == 2
+        assert "build:" in capsys.readouterr().out
+        config = json.loads(manifest_path_for(trace).read_text())["config"]
         assert config["build_wall_s"] > 0
 
-    def test_jobs_must_be_positive(self, world_dir, tmp_path,
-                                   capsys):
+    def test_link_index_manifest_records_loaded_knobs(
+            self, world_dir, snapshot, tmp_path, capsys):
+        """link --index records the loaded linker's perf knobs, not
+        the pipeline defaults."""
+        import json
+
+        from repro.obs.manifest import manifest_path_for
+
+        trace = tmp_path / "trace.json"
+        code = main(["--trace", str(trace), "link",
+                     "--index", str(snapshot),
+                     "--unknown", str(world_dir / "tmg.jsonl"),
+                     "--workers", "2", "--no-cache",
+                     "--block-size", "512"])
+        capsys.readouterr()
+        assert code == 0
+        config = json.loads(manifest_path_for(trace).read_text())["config"]
+        assert config["workers"] == 2
+        assert config["cache"] is False
+        assert config["block_size"] == 512
+        assert config["index"] == str(snapshot)
+
+    def test_block_size_must_be_positive(self, world_dir, tmp_path,
+                                         capsys):
         code = main(["index", "build",
                      "--known", str(world_dir / "dm.jsonl"),
                      "--out", str(tmp_path / "bad.snap"),
-                     "--jobs", "0"])
+                     "--block-size", "0"])
         assert code != 0
-        assert "build_jobs" in capsys.readouterr().err
+        assert "block_size" in capsys.readouterr().err
