@@ -251,9 +251,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=args.threshold),
             batch_size=args.batch_size,
-            workers=args.workers,
             cache=not args.no_cache,
-            block_size=args.block_size,
         )
         known = pipeline.prepare_forum(forum, is_known=True)
         if not known:
@@ -579,11 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=PAPER_THRESHOLD)
     ibuild.add_argument("--batch-size", type=int, default=None,
                         help="snapshot a IV-J batched linker instead")
-    ibuild.add_argument("--workers", type=int, default=None,
-                        metavar="N")
     ibuild.add_argument("--no-cache", action="store_true")
-    ibuild.add_argument("--block-size", type=int, default=None,
-                        metavar="ROWS")
     ibuild.set_defaults(func=_cmd_index)
     iverify = isub.add_parser(
         "verify", help="check every section checksum of a snapshot")

@@ -122,6 +122,22 @@ class KAttributor:
             self._known_matrix = self.extractor.fit_transform(self._known)
         return self
 
+    def extend(self, documents: Sequence[AliasDocument]) -> None:
+        """Append known aliases inside the fitted feature space.
+
+        Transform is row-independent, so stacking the new rows under
+        the fitted matrix equals transforming the grown corpus in one
+        shot, with the old rows untouched.  The rows and the documents
+        are committed together, after the transform succeeded.
+        """
+        if self._known_matrix is None:
+            raise NotFittedError("KAttributor.fit has not been called")
+        documents = list(documents)
+        rows = self.extractor.transform(documents)
+        self._known_matrix = sparse.vstack([self._known_matrix, rows],
+                                           format="csr")
+        self._known.extend(documents)
+
     def scores(self, unknowns: Sequence[AliasDocument]) -> np.ndarray:
         """Full similarity matrix ``unknowns x known``."""
         if self._known_matrix is None:

@@ -45,6 +45,7 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import SCORE_BUCKETS, SIZE_BUCKETS, counter, \
     histogram
 from repro.obs.spans import span
+from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
 from repro.perf.parallel import ParallelExecutor, resolve_workers
 from repro.resilience.checkpoint import CheckpointStore, open_store
@@ -439,42 +440,51 @@ class AliasLinker:
                 f"threshold must be in [0, 1], got {threshold}")
         self.k = k
         self.threshold = threshold
+        self.reduction_budget = reduction_budget
         self.final_budget = final_budget
         self.weights = weights or FeatureWeights()
         self.use_activity = use_activity
         self.use_structure = use_structure
         self.use_reduction = use_reduction
+        # Perf knobs resolve once, here (argument > env > default), so
+        # manifests and snapshots read concrete values and a mid-run
+        # environment change cannot skew a sweep.
         self.workers = resolve_workers(workers)
+        self.block_size = resolve_block_size(block_size)
         self.breaker = breaker
         if isinstance(cache, ProfileCache):
-            profile_cache = cache
+            self.cache = cache
         else:
-            profile_cache = ProfileCache(enabled=bool(cache))
-        self.cache = profile_cache
-        self.encoder = DocumentEncoder(cache=profile_cache)
-        self.reducer = KAttributor(
-            k=k,
-            budget=reduction_budget,
-            weights=self.weights,
-            use_activity=use_activity,
-            use_structure=use_structure,
-            encoder=self.encoder,
-            block_size=block_size,
-        )
-        # The reducer resolves the block size exactly once; mirror the
-        # concrete value here so manifests and snapshots read it
-        # without re-consulting the environment.
-        self.block_size = self.reducer.block_size
+            self.cache = ProfileCache(enabled=bool(cache))
+        self.encoder = DocumentEncoder(cache=self.cache)
+        self.reducer = self._make_reducer(k)
         self._known: Optional[List[AliasDocument]] = None
         #: Bumped on every (re)fit; keys the persistent restage pool so
         #: stale forked state is never reused across fits.
         self._state_version = 0
+        #: The deadline of the :meth:`link` call in flight, for the
+        #: stage-1 hook :meth:`_reduce`.
+        self._budget: Optional[DeadlineBudget] = None
+
+    def _make_reducer(self, k: int) -> KAttributor:
+        """A stage-1 reducer over this linker's reduction space, sharing
+        its encoder (so every reducer reuses one set of profiles)."""
+        return KAttributor(
+            k=k,
+            budget=self.reduction_budget,
+            weights=self.weights,
+            use_activity=self.use_activity,
+            use_structure=self.use_structure,
+            encoder=self.encoder,
+            block_size=self.block_size,
+        )
 
     def fit(self, known: Sequence[AliasDocument]) -> "AliasLinker":
         """Index the known aliases (the paper's set Z)."""
         with span("linker.fit", n_known=len(known)):
-            self._known = list(known)
-            self.reducer.fit(self._known)
+            known = list(known)
+            self.reducer.fit(known)
+            self._known = known
             self._state_version += 1
         log.debug("linker.fit", n_known=len(self._known), k=self.k)
         return self
@@ -621,34 +631,14 @@ class AliasLinker:
             except Exception:  # noqa: BLE001 - requarantined in stage 2
                 continue
 
-    def _stage2_task(self, candidates: Candidates,
-                     ) -> Tuple[str, Any]:
-        """One unknown's restage: a pure function of the fitted state.
-
-        Returns ``("ok", (scored, best_id, best_score))`` or
-        ``("error", reason)`` — exceptions are folded into the return
-        value so the parallel map never aborts the batch and the parent
-        quarantines with the exact message the serial path would use.
-        """
-        unknown = candidates.unknown
-        try:
-            with span("linker.stage2", unknown=unknown.doc_id,
-                      k=len(candidates.documents)):
-                scored = self._rescore(unknown, candidates.documents)
-            best_id, best_score = max(scored, key=lambda pair: pair[1])
-        except Exception as exc:  # noqa: BLE001 - quarantined by caller
-            return ("error", f"final attribution failed: {exc}")
-        return ("ok", (scored, best_id, float(best_score)))
-
     def _stage2_chunk(self, chunk: Sequence[Candidates],
                       ) -> List[Tuple[str, Any]]:
         """Restage a chunk of unknowns with one batched similarity.
 
         Error isolation stays per-unknown: a pair whose candidate-set
-        fit raises is reported as ``("error", reason)`` — with the same
-        message :meth:`_stage2_task` would produce — without dragging
-        down its chunk-mates, whose matrices still enter the shared
-        block-diagonal product.
+        fit raises is reported as ``("error", reason)`` without
+        dragging down its chunk-mates, whose matrices still enter the
+        shared block-diagonal product.
         """
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(chunk)
         prepped: List[Tuple[int, sparse.csr_matrix,
@@ -729,33 +719,45 @@ class AliasLinker:
                 "k": self.k,
                 "threshold": self.threshold}
 
+    def _reduce(self, pending: Sequence[AliasDocument],
+                budget: Optional[DeadlineBudget],
+                ) -> List[Candidates]:
+        """Stage 1 proper: the candidate set of every pending unknown.
+
+        The hook subclasses override to pick candidates differently
+        (:class:`~repro.core.batch.BatchedLinker`); *budget* is the
+        link call's deadline, if any.
+        """
+        if not self.use_reduction:
+            return [
+                Candidates(unknown=u, documents=tuple(self._known),
+                           scores=tuple([0.0] * len(self._known)))
+                for u in pending
+            ]
+        return self.reducer.reduce(pending)
+
     def _reduce_isolated(self, pending: Sequence[AliasDocument],
                          skipped: Dict[str, SkippedUnknown],
                          store: Optional[CheckpointStore],
                          ) -> List[Candidates]:
         """Stage 1 with per-document error isolation.
 
-        The fast path reduces the whole batch in one matrix operation;
-        if that raises, the batch is retried one document at a time so
-        only the genuinely bad documents are quarantined.
+        The fast path reduces the whole batch at once; if that raises,
+        the batch is retried one document at a time so only the
+        genuinely bad documents are quarantined.
         """
         if not pending:
             return []
         with span("linker.stage1", k=self.k,
                   reduction=self.use_reduction):
-            if not self.use_reduction:
-                return [
-                    Candidates(unknown=u, documents=tuple(self._known),
-                               scores=tuple([0.0] * len(self._known)))
-                    for u in pending
-                ]
             try:
-                return self.reducer.reduce(pending)
+                return self._reduce(pending, self._budget)
             except Exception:
                 survivors: List[Candidates] = []
                 for unknown in pending:
                     try:
-                        survivors.extend(self.reducer.reduce([unknown]))
+                        survivors.extend(
+                            self._reduce([unknown], self._budget))
                     except Exception as exc:
                         _quarantine(
                             unknown.doc_id,
@@ -786,7 +788,8 @@ class AliasLinker:
         to its pre-degraded-mode behavior.
         """
         if self._known is None:
-            raise NotFittedError("AliasLinker.fit has not been called")
+            raise NotFittedError(
+                f"{type(self).__name__}.fit has not been called")
         unknowns = list(unknowns)
         store = open_store(checkpoint, fingerprint=self._fingerprint(),
                            resume=resume)
@@ -819,6 +822,7 @@ class AliasLinker:
                                 "search-space reduction",
                                 "deadline", skipped, store)
                 pending = []
+            self._budget = budget
             reduced = self._reduce_isolated(pending, skipped, store)
             self._warm(c.unknown for c in reduced)
             # Guarded runs stay fully serial: the budget clock and

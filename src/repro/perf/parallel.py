@@ -31,19 +31,14 @@ Worker count resolution, in priority order: explicit argument, the
 without ``fork`` (or when already inside a worker) the executor
 degrades to the serial path — same results, no parallelism.
 
-Two pooling disciplines coexist:
-
-* :meth:`ParallelExecutor.map` forks a fresh pool per call — the
-  items travel to workers by fork inheritance, so arbitrary unpicklable
-  state rides along for free, but every call pays the fork again;
-* :meth:`ParallelExecutor.map_shared` keeps one pool *alive across
-  calls*, keyed on ``(identity, version)`` of a caller-provided shared
-  state object that the workers inherited at fork time.  Repeat calls
-  against the same state version skip the fork entirely
-  (``parallel_pool_reuse_total`` counts the skips); bumping the
-  version — e.g. after a refit mutated the shared state — retires the
-  stale pool and forks a fresh one, because forked workers only ever
-  see the memory image from their moment of birth.
+The pool *persists* across calls (:meth:`ParallelExecutor.map_shared`),
+keyed on ``(identity, version)`` of a caller-provided shared state
+object that the workers inherited at fork time.  Repeat calls against
+the same state version skip the fork entirely
+(``parallel_pool_reuse_total`` counts the skips); bumping the version —
+e.g. after a refit mutated the shared state — retires the stale pool
+and forks a fresh one, because forked workers only ever see the memory
+image from their moment of birth.
 """
 
 from __future__ import annotations
@@ -95,17 +90,12 @@ _GATED = counter("parallel_gated_serial_total")
 #: instead of paying the fork again.
 _POOL_REUSE = counter("parallel_pool_reuse_total")
 
-#: The in-flight (fn, items) payload, published to forked workers via
-#: inherited memory; also the re-entrancy latch that forces nested
-#: executors (a worker starting its own pool) onto the serial path.
-_PAYLOAD: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
-
 #: The shared-state object published to *persistent* pool workers at
 #: fork time (see :meth:`ParallelExecutor.map_shared`).
 _SHARED: Any = None
 
-#: Set in every pool worker (per-call and persistent) via the pool
-#: initializer: any executor created inside a worker runs serial.
+#: Set in every pool worker via the pool initializer: any executor
+#: created inside a worker (a nested map) runs serial.
 _IN_WORKER = False
 
 #: The live persistent pool and the (state id, version, workers) key
@@ -127,42 +117,22 @@ def _mark_worker() -> None:
     _IN_WORKER = True
 
 
-def _run_task(index: int) -> Tuple[Any, dict, List[dict]]:
-    """Worker-side entry: run one task, return
-    ``(result, metrics delta, span dicts)``.
-
-    The worker's registry is reset before the task so the snapshot it
-    ships back is exactly this task's increments — the parent can merge
-    deltas from any number of tasks without double counting.  The
-    tracer's thread state is likewise cleared: the fork inherited the
-    parent's *open* spans on the surviving thread's stack, and without
-    the reset the task's spans would attach to dead copies of them
-    instead of forming shippable root trees.
-    """
-    fn, items = _PAYLOAD  # type: ignore[misc]  # set before fork
-    registry = get_registry()
-    registry.reset()
-    tracer = get_tracer()
-    tracer.clear_thread_state()
-    result = fn(items[index])
-    span_dicts = [s.to_dict() for s in tracer.roots()] \
-        if tracer.enabled else []
-    # Account the IPC volume *before* the snapshot so the parent sees
-    # this task's own pickle bytes in the merged counters.
-    _PICKLE_BYTES.inc(len(pickle.dumps((result, span_dicts),
-                                       pickle.HIGHEST_PROTOCOL)))
-    return result, registry.snapshot(), span_dicts
-
-
 def _run_shared(payload: Tuple[Callable[[Any, Any], Any], Any],
                 ) -> Tuple[Any, dict, List[dict]]:
-    """Persistent-pool worker entry: ``fn(shared_state, item)``.
+    """Worker entry: run ``fn(shared_state, item)``, return
+    ``(result, metrics delta, span dicts)``.
 
-    Unlike :func:`_run_task`, the item arrives by pickle (the pool
-    outlives any single call, so fork inheritance cannot carry it);
-    only the heavyweight shared state — published to :data:`_SHARED`
-    before the fork — rides the copy-on-write pages.  Telemetry
-    discipline is identical: reset, run, ship the delta.
+    The item arrives by pickle (the pool outlives any single call, so
+    fork inheritance cannot carry it); only the heavyweight shared
+    state — published to :data:`_SHARED` before the fork — rides the
+    copy-on-write pages.  The worker's registry is reset before the
+    task so the snapshot it ships back is exactly this task's
+    increments — the parent can merge deltas from any number of tasks
+    without double counting.  The tracer's thread state is likewise
+    cleared: the fork inherited the parent's *open* spans on the
+    surviving thread's stack, and without the reset the task's spans
+    would attach to dead copies of them instead of forming shippable
+    root trees.
     """
     fn, item = payload
     registry = get_registry()
@@ -172,6 +142,8 @@ def _run_shared(payload: Tuple[Callable[[Any, Any], Any], Any],
     result = fn(_SHARED, item)
     span_dicts = [s.to_dict() for s in tracer.roots()] \
         if tracer.enabled else []
+    # Account the IPC volume *before* the snapshot so the parent sees
+    # this task's own pickle bytes in the merged counters.
     _PICKLE_BYTES.inc(len(pickle.dumps((result, span_dicts),
                                        pickle.HIGHEST_PROTOCOL)))
     return result, registry.snapshot(), span_dicts
@@ -252,78 +224,19 @@ class ParallelExecutor:
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
 
-    def map(self, fn: Callable[[Any], Any],
-            items: Iterable[Any]) -> List[Any]:
-        """Apply *fn* to every item, results in submission order.
-
-        The parallel path requires *fn*'s return values to be
-        picklable; *fn* itself and its closed-over state travel to the
-        workers by fork inheritance, never by pickling.  Exceptions
-        raised by *fn* propagate (callers wanting isolation catch
-        inside *fn*).
-        """
-        items = list(items)
-        _WORKERS_GAUGE.set(self.workers)
-        _TASKS.inc(len(items))
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        cores = available_cores()
-        if _gate_enabled() and self.workers > cores:
-            # More workers than cores means the pool pays fork + IPC
-            # overhead for zero extra parallelism (the measured 0.96x
-            # on a single core) — run serial, identically, for free.
-            _GATED.inc()
-            log.info("parallel.gated_serial", workers=self.workers,
-                     cores=cores, n_items=len(items))
-            return [fn(item) for item in items]
-        global _PAYLOAD
-        if _PAYLOAD is not None or _IN_WORKER:
-            # Nested use from inside a worker: stay serial.
-            log.debug("parallel.nested_serial", n_items=len(items))
-            return [fn(item) for item in items]
-        if "fork" not in multiprocessing.get_all_start_methods():
-            log.warning("parallel.no_fork", n_items=len(items),
-                        workers=self.workers)
-            return [fn(item) for item in items]
-        context = multiprocessing.get_context("fork")
-        n_workers = min(self.workers, len(items))
-        chunksize = max(1, len(items) // (n_workers * 4))
-        _POOLS.inc()
-        log.debug("parallel.map", n_items=len(items), workers=n_workers,
-                  chunksize=chunksize)
-        _PAYLOAD = (fn, items)
-        try:
-            fork_start = time.perf_counter()
-            with ProcessPoolExecutor(max_workers=n_workers,
-                                     mp_context=context,
-                                     initializer=_mark_worker) as pool:
-                # The first submit forks every worker; timing a no-op
-                # round-trip isolates spawn-up cost from task cost.
-                pool.submit(_probe).result()
-                fork_ms = (time.perf_counter() - fork_start) * 1000.0
-                _FORK_MS.inc(fork_ms)
-                outcomes = list(pool.map(_run_task, range(len(items)),
-                                         chunksize=chunksize))
-        finally:
-            _PAYLOAD = None
-        results = _merge_outcomes(outcomes)
-        log.debug("parallel.merged", n_items=len(items),
-                  fork_ms=round(fork_ms, 2))
-        return results
-
     def map_shared(self, fn: Callable[[Any, Any], Any],
                    items: Iterable[Any], state: Any,
                    version: int = 0) -> List[Any]:
-        """Like :meth:`map`, but over a pool that *persists* between
+        """Apply *fn* to every item over a pool that *persists* between
         calls, with *state* shipped to workers once, at fork time.
 
         Parameters
         ----------
         fn:
             Called as ``fn(state, item)``.  Must be picklable (a
-            module-level function) — unlike :meth:`map`, the pool may
-            outlive this call, so the task payload travels by pickle;
-            only *state* rides the fork.
+            module-level function): the pool may outlive this call, so
+            the task payload travels by pickle; only *state* rides the
+            fork.
         items:
             Task items, also pickled per call.  Results return in
             submission order, exceptions propagate.
@@ -346,11 +259,15 @@ class ParallelExecutor:
             return [fn(state, item) for item in items]
         cores = available_cores()
         if _gate_enabled() and self.workers > cores:
+            # More workers than cores means the pool pays fork + IPC
+            # overhead for zero extra parallelism (the measured 0.96x
+            # on a single core) — run serial, identically, for free.
             _GATED.inc()
             log.info("parallel.gated_serial", workers=self.workers,
                      cores=cores, n_items=len(items))
             return [fn(state, item) for item in items]
-        if _PAYLOAD is not None or _IN_WORKER:
+        if _IN_WORKER:
+            # Nested use from inside a worker: stay serial.
             log.debug("parallel.nested_serial", n_items=len(items))
             return [fn(state, item) for item in items]
         if "fork" not in multiprocessing.get_all_start_methods():

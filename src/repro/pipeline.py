@@ -35,6 +35,7 @@ from repro.forums.models import Forum
 from repro.obs.logging import get_logger
 from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
+from repro.perf.parallel import resolve_workers
 from repro.resilience.degrade import DeadlineBudget
 from repro.resilience.faults import GUARD_POLICY_DELAYS, get_fault_plan
 from repro.resilience.policy import RetryPolicy
@@ -84,6 +85,9 @@ class LinkingPipeline:
         Profile-caching policy and stage-1 scoring block size,
         forwarded to the linker (see
         :class:`~repro.core.linker.AliasLinker`).
+
+    ``workers`` and ``block_size`` resolve (argument > env > default)
+    and validate here, once, before any forum is polished.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
@@ -99,9 +103,9 @@ class LinkingPipeline:
         self.weights = weights or FeatureWeights()
         self.batch_size = batch_size
         self.retry_policy = retry_policy
-        self.workers = workers
+        self.workers = resolve_workers(workers)
         self.cache = cache
-        self.block_size = block_size
+        self.block_size = resolve_block_size(block_size)
         self.report = PipelineReport()
 
     def manifest_config(self) -> Dict[str, object]:
@@ -124,10 +128,7 @@ class LinkingPipeline:
             "batch_size": self.batch_size,
             "workers": self.workers,
             "cache": self.cache,
-            # Perf knobs are recorded *resolved* (argument > env >
-            # default), so the manifest states the concrete values the
-            # run actually used, not "None, ask the environment".
-            "block_size": resolve_block_size(self.block_size),
+            "block_size": self.block_size,
         }
 
     def _guard(self, site: str, fn, *args, **kwargs):
@@ -193,24 +194,12 @@ class LinkingPipeline:
             self.report.refined_unknown = len(documents)
         return documents
 
-    def _make_linker(self):
+    def _make_linker(self) -> AliasLinker:
         weights = self.weights if self.config.use_activity \
             else self.weights.without_activity()
-        if self.batch_size is not None:
-            return BatchedLinker(
-                batch_size=self.batch_size,
-                k=self.config.k,
-                threshold=self.config.threshold,
-                reduction_budget=self.config.reduction_budget,
-                final_budget=self.config.final_budget,
-                weights=weights,
-                use_activity=self.config.use_activity,
-                use_structure=self.config.use_structure,
-                workers=self.workers,
-                cache=self.cache,
-                block_size=self.block_size,
-            )
-        return AliasLinker(
+        cls, variant = (AliasLinker, {}) if self.batch_size is None \
+            else (BatchedLinker, {"batch_size": self.batch_size})
+        return cls(
             k=self.config.k,
             threshold=self.config.threshold,
             reduction_budget=self.config.reduction_budget,
@@ -221,6 +210,7 @@ class LinkingPipeline:
             workers=self.workers,
             cache=self.cache,
             block_size=self.block_size,
+            **variant,
         )
 
     def link_documents(self, known: List[AliasDocument],

@@ -229,18 +229,16 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
     load-time choices because they never change the numbers.
     """
     from repro.core.batch import BatchedLinker
+    from repro.core.incremental import IncrementalLinker
     from repro.core.linker import AliasLinker
 
-    if isinstance(linker, AliasLinker):
-        algo = "alias-linker"
-        reduction_budget = linker.reducer.extractor.budget
-    elif isinstance(linker, BatchedLinker):
-        algo = "batched-linker"
-        reduction_budget = linker.reduction_budget
-    else:
+    if isinstance(linker, IncrementalLinker) \
+            or not isinstance(linker, AliasLinker):
         raise ConfigurationError(
             f"cannot snapshot a {type(linker).__name__}; expected "
             f"AliasLinker or BatchedLinker")
+    algo = "batched-linker" if isinstance(linker, BatchedLinker) \
+        else "alias-linker"
     if linker._known is None:
         raise NotFittedError(
             f"{type(linker).__name__}.fit has not been called")
@@ -251,7 +249,7 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
         "use_activity": linker.use_activity,
         "use_structure": linker.use_structure,
         "weights": _weights_dict(linker.weights),
-        "reduction_budget": asdict(reduction_budget),
+        "reduction_budget": asdict(linker.reducer.extractor.budget),
         "final_budget": asdict(linker.final_budget),
         "n_known": len(linker._known),
     }
@@ -727,24 +725,11 @@ def _rebuild_linker(header: Dict[str, Any],
     reduction_budget = FeatureBudget(**config["reduction_budget"])
     final_budget = FeatureBudget(**config["final_budget"])
 
-    if algo == "batched-linker":
-        linker = BatchedLinker(
-            batch_size=config["batch_size"],
-            k=config["k"],
-            threshold=config["threshold"],
-            reduction_budget=reduction_budget,
-            final_budget=final_budget,
-            weights=weights,
-            use_activity=config["use_activity"],
-            use_structure=config.get("use_structure", False),
-            workers=workers,
-            cache=profile_cache,
-            block_size=block_size,
-        )
-        linker._known = documents
-        return linker
-
-    linker = AliasLinker(
+    batched = algo == "batched-linker"
+    cls = BatchedLinker if batched else AliasLinker
+    variant = {"batch_size": config["batch_size"]} if batched \
+        else {"use_reduction": config["use_reduction"]}
+    linker = cls(
         k=config["k"],
         threshold=config["threshold"],
         reduction_budget=reduction_budget,
@@ -752,11 +737,14 @@ def _rebuild_linker(header: Dict[str, Any],
         weights=weights,
         use_activity=config["use_activity"],
         use_structure=config.get("use_structure", False),
-        use_reduction=config["use_reduction"],
         workers=workers,
         cache=profile_cache,
         block_size=block_size,
+        **variant,
     )
+    if batched:
+        linker._known = documents
+        return linker
     linker._known = documents
     reducer = linker.reducer
     reducer._known = documents

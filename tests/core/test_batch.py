@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.batch import BatchedLinker
 from repro.core.linker import AliasLinker
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NotFittedError
 
 
 class TestConstruction:
@@ -47,7 +47,7 @@ class TestConstruction:
         assert linker.block_size == 33
 
     def test_link_before_fit(self, reddit_alter_egos):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(NotFittedError):
             BatchedLinker().link(reddit_alter_egos.alter_egos[:1])
 
     def test_fit_empty(self):

@@ -1,10 +1,13 @@
 """Tests for the incremental linker (repro.core.incremental)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.incremental import IncrementalLinker
 from repro.core.linker import AliasLinker
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DatasetError, \
+    NotFittedError
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +139,7 @@ class TestIncrementalAppend:
         if not extra:
             pytest.skip("fixture too small")
         linker = IncrementalLinker(threshold=0.0).fit(initial)
-        reducer = linker._linker.reducer
+        reducer = linker.reducer
         before = reducer._known_matrix.copy()
         linker.add_known(extra)
         grown = reducer._known_matrix
@@ -152,17 +155,46 @@ class TestIncrementalAppend:
         unknowns = reddit_alter_egos.alter_egos[:8]
         linker = IncrementalLinker(threshold=0.0).fit(initial)
         linker.add_known(extra)
-        reduced = linker._linker.reducer.reduce(unknowns)
+        reduced = linker.reducer.reduce(unknowns)
 
         fresh = AliasLinker(threshold=0.0, block_size=block_size)
-        fresh.reducer.extractor = linker._linker.reducer.extractor
-        fresh.reducer._known = linker._linker.reducer._known
+        fresh.reducer.extractor = linker.reducer.extractor
+        fresh.reducer._known = linker.reducer._known
         fresh.reducer._known_matrix = \
-            linker._linker.reducer._known_matrix
+            linker.reducer._known_matrix
         assert reduced == fresh.reducer.reduce(unknowns)
+
+    def test_rejected_append_leaves_index_untouched(
+            self, reddit_alter_egos, split_known):
+        """A malformed document fails the whole append with a typed
+        error before anything is committed: the known list, the matrix
+        and later answers are those of a linker that never saw it."""
+        initial, extra = split_known
+        if len(extra) < 3:
+            pytest.skip("fixture too small")
+        added = extra[2:]
+        added_ids = {d.doc_id for d in added}
+        queries = [a for a in reddit_alter_egos.alter_egos
+                   if reddit_alter_egos.truth[a.doc_id] in added_ids]
+        clean = IncrementalLinker(threshold=0.0).fit(initial)
+        clean.add_known(added)
+
+        linker = IncrementalLinker(threshold=0.0).fit(initial)
+        broken = dataclasses.replace(extra[0], text=None)
+        with pytest.raises(DatasetError):
+            linker.add_known([added[0], broken])
+        assert linker.n_known == len(initial)
+        assert linker.reducer._known_matrix.shape[0] == len(initial)
+        assert linker.added_since_fit == 0
+        # The good document of the rejected batch is not a duplicate.
+        linker.add_known(added)
+        assert linker.n_known == len(initial) + len(added)
+        assert linker.reducer._known_matrix.shape[0] == linker.n_known
+        assert linker.link(queries).to_dict() \
+            == clean.link(queries).to_dict()
 
     def test_block_size_threaded_through(self, split_known):
         initial, _ = split_known
         linker = IncrementalLinker(block_size=7)
         linker.fit(initial)
-        assert linker._linker.reducer.block_size == 7
+        assert linker.reducer.block_size == 7

@@ -22,9 +22,17 @@ from repro.obs.spans import (
     reset_trace,
     span,
 )
-from repro.perf.parallel import GATE_ENV, ParallelExecutor
+from repro.perf.parallel import GATE_ENV, ParallelExecutor, \
+    shutdown_pools
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _span_task(state, item):
+    """``map_shared`` task: one span named ``state["name"]``."""
+    with span(state["name"], item=item):
+        time.sleep(state["sleep"])
+    return item
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +44,7 @@ def clean_tracer(monkeypatch):
     yield
     disable_tracing()
     reset_trace()
+    shutdown_pools()
 
 
 def _assert_valid_chrome(document):
@@ -130,14 +139,11 @@ class TestExport:
 @pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
 class TestWorkerLanes:
     def test_two_workers_render_as_distinct_lanes(self, tmp_path):
-        def task(x):
-            with span("lane.task", item=x):
-                time.sleep(0.005)
-            return x
-
         enable_tracing()
         with span("lane.restage"):
-            ParallelExecutor(workers=2).map(task, range(24))
+            ParallelExecutor(workers=2).map_shared(
+                _span_task, range(24),
+                state={"name": "lane.task", "sleep": 0.005})
         path = write_chrome_trace(tmp_path / "workers.json")
         document = json.loads(path.read_text(encoding="utf-8"))
         _assert_valid_chrome(document)
@@ -157,14 +163,11 @@ class TestWorkerLanes:
             assert f"worker-{pid}" in lane_names
 
     def test_worker_timestamps_share_the_parent_clock(self):
-        def task(x):
-            with span("clock.task"):
-                time.sleep(0.002)
-            return x
-
         enable_tracing()
         with span("clock.parent"):
-            ParallelExecutor(workers=2).map(task, range(8))
+            ParallelExecutor(workers=2).map_shared(
+                _span_task, range(8),
+                state={"name": "clock.task", "sleep": 0.002})
         document = export_chrome_trace(build_trace_document())
         events = {e["name"]: e for e in document["traceEvents"]
                   if e["ph"] == "X"}

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import counter, get_registry
+from repro.obs.metrics import counter, gauge, get_registry
 from repro.obs.spans import (
     disable_tracing,
     enable_tracing,
@@ -34,12 +34,53 @@ def _shared_boom(state, item):
     raise ValueError(f"bad item {item}")
 
 
+def _square(state, item):
+    return item * item
+
+
+def _nested_outer(state, item):
+    """Starts an executor inside a worker; it must run serial."""
+    inner = ParallelExecutor(workers=4).map_shared(
+        _shared_affine, [item, item * 10], state=state)
+    return sum(inner)
+
+
+def _count_probe(state, item):
+    counter("test_parallel_probe_total").inc()
+    return item
+
+
+def _gauge_probe(state, item):
+    gauge("test_parallel_probe_gauge").set(item)
+    return item
+
+
+def _span_task(state, item):
+    """Opens one span named ``state["name"]`` around a short sleep."""
+    with span(state["name"], item=item):
+        time.sleep(state.get("sleep", 0.0))
+    return item
+
+
 @pytest.fixture(autouse=True)
 def _gate_off(monkeypatch):
     """Disable the available-core gate: these tests assert actual
     forking behavior and must not silently go serial on a 1-core CI
     box."""
     monkeypatch.setenv(GATE_ENV, "0")
+
+
+@pytest.fixture(autouse=True)
+def fresh_pools():
+    """Every test starts and ends without a live persistent pool."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
+def _pools():
+    return get_registry().snapshot().get(
+        "parallel_pools_total", {}).get("value", 0)
 
 
 class TestResolveWorkers:
@@ -72,59 +113,45 @@ class TestResolveWorkers:
 
 class TestMap:
     def test_serial_preserves_order(self):
-        result = ParallelExecutor(workers=1).map(lambda x: x * x,
-                                                 range(10))
+        result = ParallelExecutor(workers=1).map_shared(
+            _square, range(10), state=None)
         assert result == [x * x for x in range(10)]
 
     def test_parallel_preserves_order(self):
-        result = ParallelExecutor(workers=3).map(lambda x: x * x,
-                                                 range(20))
+        result = ParallelExecutor(workers=3).map_shared(
+            _square, range(20), state=None)
         assert result == [x * x for x in range(20)]
 
     def test_single_item_stays_serial(self):
-        pools = get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0)
-        assert ParallelExecutor(workers=4).map(str, [1]) == ["1"]
-        after = get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0)
-        assert after == pools
+        pools = _pools()
+        assert ParallelExecutor(workers=4).map_shared(
+            _square, [3], state=None) == [9]
+        assert _pools() == pools
 
     def test_serial_exception_propagates(self):
-        def boom(_):
-            raise ValueError("bad item")
-
         with pytest.raises(ValueError):
-            ParallelExecutor(workers=1).map(boom, [1, 2])
+            ParallelExecutor(workers=1).map_shared(
+                _shared_boom, [1, 2], state=None)
 
     def test_closure_state_inherited_by_fork(self):
-        offset = 41
-        result = ParallelExecutor(workers=2).map(
-            lambda x: x + offset, [1, 2, 3, 4])
+        """The shared state reaches the workers through the fork."""
+        result = ParallelExecutor(workers=2).map_shared(
+            _shared_affine, [1, 2, 3, 4],
+            state={"scale": 1, "offset": 41})
         assert result == [42, 43, 44, 45]
 
     def test_nested_executor_stays_serial(self):
-        def outer(x):
-            inner = ParallelExecutor(workers=4).map(
-                lambda y: y + 1, [x, x * 10])
-            return sum(inner)
-
-        result = ParallelExecutor(workers=2).map(outer, [1, 2, 3, 4])
+        pools = _pools()
+        result = ParallelExecutor(workers=2).map_shared(
+            _nested_outer, [1, 2, 3, 4],
+            state={"scale": 1, "offset": 1})
         assert result == [13, 24, 35, 46]
+        # One pool for the outer map; the inner maps forked nothing.
+        assert _pools() == pools + 1
 
 
 class TestMapShared:
     """map_shared: the persistent-pool path keyed on (state, version)."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_pools(self):
-        shutdown_pools()
-        yield
-        shutdown_pools()
-
-    @staticmethod
-    def _pools():
-        return get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0)
 
     @staticmethod
     def _reuses():
@@ -146,7 +173,7 @@ class TestMapShared:
     def test_pool_reused_across_calls(self):
         state = {"scale": 1, "offset": 0}
         executor = ParallelExecutor(workers=2)
-        pools_before = self._pools()
+        pools_before = _pools()
         reuses_before = self._reuses()
         first = executor.map_shared(_shared_affine, range(8),
                                     state=state)
@@ -155,44 +182,44 @@ class TestMapShared:
         assert first == list(range(8))
         assert second == list(range(8, 16))
         # One fork serves both calls; the second is a recorded reuse.
-        assert self._pools() == pools_before + 1
+        assert _pools() == pools_before + 1
         assert self._reuses() == reuses_before + 1
 
     def test_version_bump_invalidates_pool(self):
         state = {"scale": 1, "offset": 0}
         executor = ParallelExecutor(workers=2)
-        pools_before = self._pools()
+        pools_before = _pools()
         executor.map_shared(_shared_affine, range(6), state=state,
                             version=0)
         executor.map_shared(_shared_affine, range(6), state=state,
                             version=1)
         # A stale forked memory image must never serve a new version.
-        assert self._pools() == pools_before + 2
+        assert _pools() == pools_before + 2
 
     def test_different_state_invalidates_pool(self):
         executor = ParallelExecutor(workers=2)
-        pools_before = self._pools()
+        pools_before = _pools()
         executor.map_shared(_shared_affine, range(6),
                             state={"scale": 1, "offset": 0})
         executor.map_shared(_shared_affine, range(6),
                             state={"scale": 1, "offset": 9})
-        assert self._pools() == pools_before + 2
+        assert _pools() == pools_before + 2
 
     def test_gated_serial_same_results(self, monkeypatch):
         monkeypatch.delenv(GATE_ENV, raising=False)
         monkeypatch.setattr(parallel, "available_cores", lambda: 1)
-        pools_before = self._pools()
+        pools_before = _pools()
         result = ParallelExecutor(workers=4).map_shared(
             _shared_affine, range(8), state={"scale": 4, "offset": 2})
         assert result == [4 * x + 2 for x in range(8)]
-        assert self._pools() == pools_before
+        assert _pools() == pools_before
 
     def test_single_item_stays_serial(self):
-        pools_before = self._pools()
+        pools_before = _pools()
         result = ParallelExecutor(workers=4).map_shared(
             _shared_affine, [3], state={"scale": 2, "offset": 0})
         assert result == [6]
-        assert self._pools() == pools_before
+        assert _pools() == pools_before
 
     def test_counters_merged_from_workers(self):
         probe = counter("test_map_shared_probe_total")
@@ -215,26 +242,16 @@ class TestMapShared:
 class TestWorkerMetrics:
     def test_counters_merged_from_workers(self):
         probe = counter("test_parallel_probe_total")
-
-        def task(x):
-            counter("test_parallel_probe_total").inc()
-            return x
-
         before = probe.value
-        ParallelExecutor(workers=3).map(task, range(8))
+        ParallelExecutor(workers=3).map_shared(_count_probe, range(8),
+                                               state=None)
         assert probe.value == before + 8
 
     def test_gauges_not_clobbered_by_workers(self):
-        from repro.obs.metrics import gauge
-
         probe = gauge("test_parallel_probe_gauge")
         probe.set(7)
-
-        def task(x):
-            gauge("test_parallel_probe_gauge").set(x)
-            return x
-
-        ParallelExecutor(workers=2).map(task, range(4))
+        ParallelExecutor(workers=2).map_shared(_gauge_probe, range(4),
+                                               state=None)
         assert probe.value == 7
 
     def test_overhead_counters_recorded(self):
@@ -246,7 +263,8 @@ class TestWorkerMetrics:
                                  "parallel.merge_ms")}
 
         before = snap()
-        ParallelExecutor(workers=2).map(lambda x: x * x, range(8))
+        ParallelExecutor(workers=2).map_shared(_square, range(8),
+                                               state=None)
         after = snap()
         # Every parallel map pays fork + merge and ships results over
         # a pipe; the counters must account all three.
@@ -258,7 +276,8 @@ class TestWorkerMetrics:
     def test_serial_map_pays_no_overhead(self):
         fork_before = get_registry().snapshot().get(
             "parallel.fork_ms", {}).get("value", 0.0)
-        ParallelExecutor(workers=1).map(lambda x: x, range(8))
+        ParallelExecutor(workers=1).map_shared(_square, range(8),
+                                               state=None)
         fork_after = get_registry().snapshot().get(
             "parallel.fork_ms", {}).get("value", 0.0)
         assert fork_after == fork_before
@@ -273,14 +292,11 @@ class TestWorkerSpans:
         reset_trace()
 
     def test_worker_spans_graft_into_parent_trace(self):
-        def task(x):
-            with span("test.worker_restage", item=x):
-                time.sleep(0.002)
-            return x
-
         enable_tracing()
         with span("test.parent"):
-            ParallelExecutor(workers=2).map(task, range(12))
+            ParallelExecutor(workers=2).map_shared(
+                _span_task, range(12),
+                state={"name": "test.worker_restage", "sleep": 0.002})
         nodes = [n for root in get_trace()["spans"]
                  for n in iter_spans(root)]
         worker_spans = [n for n in nodes
@@ -295,26 +311,18 @@ class TestWorkerSpans:
             assert node["attributes"]["item"] in range(12)
 
     def test_worker_spans_nest_under_the_calling_span(self):
-        def task(x):
-            with span("test.nested_task"):
-                pass
-            return x
-
         enable_tracing()
         with span("test.outer"):
-            ParallelExecutor(workers=2).map(task, range(4))
+            ParallelExecutor(workers=2).map_shared(
+                _span_task, range(4), state={"name": "test.nested_task"})
         (root,) = get_trace()["spans"]
         assert root["name"] == "test.outer"
         names = {n["name"] for n in iter_spans(root)}
         assert "test.nested_task" in names
 
     def test_no_span_shipping_when_tracing_disabled(self):
-        def task(x):
-            with span("test.invisible"):
-                pass
-            return x
-
-        ParallelExecutor(workers=2).map(task, range(4))
+        ParallelExecutor(workers=2).map_shared(
+            _span_task, range(4), state={"name": "test.invisible"})
         assert get_trace()["spans"] == []
 
 
@@ -325,35 +333,31 @@ class TestCoreGating:
     def test_oversubscribed_map_gates_serial(self, monkeypatch):
         monkeypatch.delenv(GATE_ENV, raising=False)
         monkeypatch.setattr(parallel, "available_cores", lambda: 1)
-        pools_before = get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0.0)
+        pools_before = _pools()
         gated_before = get_registry().snapshot().get(
             "parallel_gated_serial_total", {}).get("value", 0.0)
-        result = ParallelExecutor(workers=4).map(lambda x: x * x,
-                                                 range(8))
+        result = ParallelExecutor(workers=4).map_shared(
+            _square, range(8), state=None)
         metrics = get_registry().snapshot()
         # Same results, no pool forked, and the fallback is counted.
         assert result == [x * x for x in range(8)]
-        assert metrics["parallel_pools_total"]["value"] == pools_before
+        assert _pools() == pools_before
         assert metrics["parallel_gated_serial_total"]["value"] \
             == gated_before + 1
 
     def test_workers_within_cores_not_gated(self, monkeypatch):
         monkeypatch.delenv(GATE_ENV, raising=False)
         monkeypatch.setattr(parallel, "available_cores", lambda: 8)
-        pools_before = get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0.0)
-        result = ParallelExecutor(workers=2).map(lambda x: x + 1,
-                                                 range(6))
+        pools_before = _pools()
+        result = ParallelExecutor(workers=2).map_shared(
+            _shared_affine, range(6), state={"scale": 1, "offset": 1})
         assert result == [x + 1 for x in range(6)]
-        assert get_registry().snapshot()["parallel_pools_total"][
-            "value"] == pools_before + 1
+        assert _pools() == pools_before + 1
 
     def test_gate_env_escape_hatch(self, monkeypatch):
         monkeypatch.setenv(GATE_ENV, "0")
         monkeypatch.setattr(parallel, "available_cores", lambda: 1)
-        pools_before = get_registry().snapshot().get(
-            "parallel_pools_total", {}).get("value", 0.0)
-        ParallelExecutor(workers=2).map(lambda x: x, range(4))
-        assert get_registry().snapshot()["parallel_pools_total"][
-            "value"] == pools_before + 1
+        pools_before = _pools()
+        ParallelExecutor(workers=2).map_shared(_square, range(4),
+                                               state=None)
+        assert _pools() == pools_before + 1

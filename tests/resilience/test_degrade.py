@@ -326,8 +326,8 @@ class TestBatchedDegradedLinking:
 
     def test_mid_flight_expiry_mixes_degraded_and_deadline(
             self, corpus, monkeypatch):
-        """The deadline lands while pair 0's inner stage 1 runs: pair 0
-        degrades to its stage-1 scores, later pairs quarantine."""
+        """The deadline lands right after stage 1: the batched unknowns
+        degrade to their stage-1 scores, as AliasLinker's do."""
         known, unknowns = corpus
         clock = ManualClock()
         budget = DeadlineBudget(10, clock=clock)

@@ -12,8 +12,10 @@ import json
 import pytest
 
 from repro.core.batch import BatchedLinker
+from repro.core.incremental import IncrementalLinker
 from repro.core.linker import AliasLinker
-from repro.errors import NotFittedError, SnapshotError
+from repro.errors import ConfigurationError, NotFittedError, \
+    SnapshotError
 from repro.resilience.faults import FaultPlan, install_fault_plan
 from repro.resilience.snapshot import (
     SNAPSHOT_MAGIC,
@@ -96,6 +98,15 @@ class TestRoundTrip:
     def test_unfitted_linker_rejected(self, tmp_path):
         with pytest.raises(NotFittedError):
             save_index(AliasLinker(), tmp_path / "nope.snap")
+
+    def test_incremental_linker_rejected(self, corpus, tmp_path):
+        """An AliasLinker subclass, but its appended rows and staleness
+        have no snapshot form."""
+        known, _ = corpus
+        linker = IncrementalLinker(threshold=0.4).fit(known)
+        with pytest.raises(ConfigurationError, match="IncrementalLinker"):
+            save_index(linker, tmp_path / "nope.snap")
+        assert not (tmp_path / "nope.snap").exists()
 
 
 def _write_legacy_snapshot(linker, path):

@@ -123,6 +123,25 @@ class TestLinkWithIndex:
         cold = self._link_index(world_dir, snapshot, capsys)
         assert cold == warm
 
+    def test_batched_cold_load_output_identical(self, world_dir,
+                                                tmp_path, capsys):
+        snap = tmp_path / "batched.snap"
+        assert main(["index", "build",
+                     "--known", str(world_dir / "dm.jsonl"),
+                     "--out", str(snap), "--batch-size", "11"]) == 0
+        capsys.readouterr()
+        warm = main(["link",
+                     "--known", str(world_dir / "dm.jsonl"),
+                     "--unknown", str(world_dir / "tmg.jsonl"),
+                     "--batch-size", "11", "--json"])
+        out_warm = capsys.readouterr().out
+        cold = main(["link", "--index", str(snap),
+                     "--unknown", str(world_dir / "tmg.jsonl"),
+                     "--json"])
+        out_cold = capsys.readouterr().out
+        assert warm == cold == 0
+        assert out_cold == out_warm
+
     def test_threshold_override(self, world_dir, snapshot, capsys):
         out = self._link_index(world_dir, snapshot, capsys,
                                "--threshold", "1.0")
@@ -217,11 +236,11 @@ class TestManifest:
         assert config["block_size"] == 512
         assert config["index"] == str(snapshot)
 
-    def test_block_size_must_be_positive(self, world_dir, tmp_path,
+    def test_block_size_must_be_positive(self, world_dir, snapshot,
                                          capsys):
-        code = main(["index", "build",
-                     "--known", str(world_dir / "dm.jsonl"),
-                     "--out", str(tmp_path / "bad.snap"),
+        code = main(["link",
+                     "--index", str(snapshot),
+                     "--unknown", str(world_dir / "tmg.jsonl"),
                      "--block-size", "0"])
         assert code != 0
         assert "block_size" in capsys.readouterr().err
