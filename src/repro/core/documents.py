@@ -23,7 +23,7 @@ from repro.config import MIN_TIMESTAMPS, WORDS_PER_ALIAS
 from repro.core.activity import try_activity_profile, usable_timestamps
 from repro.forums.models import Forum, UserRecord
 from repro.textproc.lemmatizer import lemmatize_word
-from repro.textproc.tokenizer import WORD, iter_tokens
+from repro.textproc.tokenizer import _TOKEN_RE, count_words
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,16 @@ def normalize_message(text: str, use_lemmatization: bool = True,
     """
     pieces: List[str] = []
     words: List[str] = []
-    for token in iter_tokens(text):
-        if token.kind == WORD:
-            word = token.text.lower()
+    # The tokenizer's own pattern, without a Token object per match.
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "word":
+            word = match.group().lower()
             if use_lemmatization:
                 word = lemmatize_word(word)
             pieces.append(word)
             words.append(word)
         else:
-            pieces.append(token.text)
+            pieces.append(match.group())
     return " ".join(pieces), words
 
 
@@ -205,8 +206,7 @@ def eligible_for_alter_ego(record: UserRecord,
         return False
     total = 0
     for message in record.messages:
-        total += sum(1 for t in iter_tokens(message.text)
-                     if t.kind == WORD)
+        total += count_words(message.text)
         if total >= min_words:
             return True
     return total >= min_words

@@ -37,7 +37,7 @@ from repro.config import (
 from repro.forums.models import Forum, Message, UserRecord
 from repro.textproc import patterns
 from repro.textproc.langdetect import LanguageDetector, default_detector
-from repro.textproc.tokenizer import count_words, distinct_word_ratio
+from repro.textproc.tokenizer import distinct_ratio, words
 
 
 def is_bot_alias(alias: str) -> bool:
@@ -127,7 +127,9 @@ class MessagePolisher:
         Quotes and edit markers are removed before URL/e-mail handling so
         that URLs inside quotes never survive into the features; PGP
         blocks go before the long-word filter so that armored lines do
-        not need to be caught word-by-word.
+        not need to be caught word-by-word.  The long-word step comes
+        last: it re-joins the whitespace-split words with single spaces,
+        so its result has whitespace collapsed and trimmed.
         """
         text = patterns.strip_quotes(text)
         text = patterns.strip_edit_markers(text)
@@ -135,8 +137,7 @@ class MessagePolisher:
         text = patterns.normalize_urls(text)
         text = patterns.mask_emails(text)
         text = patterns.strip_emojis(text)
-        text = patterns.strip_long_words(text, self.config.max_word_length)
-        return patterns.collapse_whitespace(text)
+        return patterns.strip_long_words(text, self.config.max_word_length)
 
     # -- filters (steps 5, 6, 7)
 
@@ -148,9 +149,10 @@ class MessagePolisher:
         """
         if not text:
             return "empty"
-        if count_words(text) < self.config.min_words:
+        found = words(text)
+        if len(found) < self.config.min_words:
             return "short"
-        if distinct_word_ratio(text) < self.config.min_distinct_ratio:
+        if distinct_ratio(found) < self.config.min_distinct_ratio:
             return "low_diversity"
         if self.config.filter_language and not self._detector.is_english(
                 text, self.config.language_min_confidence):
@@ -168,19 +170,17 @@ class MessagePolisher:
 
 
 def polish_user(record: UserRecord, polisher: MessagePolisher,
-                report: PolishReport,
-                seen_keys: Optional[set] = None) -> UserRecord:
+                report: PolishReport) -> UserRecord:
     """Polish one user's messages, updating *report* drop counters.
 
-    *seen_keys*, when given, is the cross-user duplicate registry used to
-    drop crossposts (the same text posted to several subreddits keeps
-    only its first occurrence).
+    Duplicates are dropped per user: the same text posted to several
+    sections (crossposts, vendor reposts) keeps only its first
+    occurrence.
     """
     config = polisher.config
     cleaned = UserRecord(alias=record.alias, forum=record.forum,
                          metadata=dict(record.metadata))
-    local_seen: set = set()
-    registry = seen_keys if seen_keys is not None else local_seen
+    seen: set = set()
     for message in record.messages:
         text = polisher.transform(message.text) if config.enabled \
             else message.text
@@ -198,13 +198,11 @@ def polish_user(record: UserRecord, polisher: MessagePolisher,
             report.dropped_non_english += 1
             continue
         if config.drop_duplicates:
-            key = (record.alias, dedup_key(text))
-            cross_key = dedup_key(text)
-            if key in registry or cross_key in local_seen:
+            key = dedup_key(text)
+            if key in seen:
                 report.dropped_duplicates += 1
                 continue
-            registry.add(key)
-            local_seen.add(cross_key)
+            seen.add(key)
         cleaned.messages.append(message.with_text(text))
         report.kept_messages += 1
     return cleaned
@@ -228,12 +226,11 @@ def polish_forum(forum: Forum, config: CleaningConfig | None = None,
     polished = Forum(name=forum.name,
                      utc_offset_hours=forum.utc_offset_hours,
                      sections=list(forum.sections))
-    duplicate_registry: set = set()
     for alias, record in forum.users.items():
         if config.enabled and config.drop_bots and is_bot_alias(alias):
             report.dropped_bot_accounts += 1
             continue
-        cleaned = polish_user(record, polisher, report, duplicate_registry)
+        cleaned = polish_user(record, polisher, report)
         if cleaned.messages:
             polished.users[alias] = cleaned
     polished.threads = dict(forum.threads)

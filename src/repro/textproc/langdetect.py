@@ -21,11 +21,13 @@ seed-dependent on short inputs).
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import LanguageDetectionError
@@ -40,6 +42,9 @@ _UNSEEN_LOGPROB = math.log(1e-7)
 #: Minimum number of alphabetic characters needed for a verdict.
 MIN_DETECTABLE_CHARS = 6
 
+#: Runs of anything but a lowercase ASCII letter or an apostrophe.
+_ASCII_NON_LETTERS_RE = re.compile(r"[^a-z']+")
+
 
 def _normalize_for_profile(text: str) -> str:
     """Lowercase, keep letters and apostrophes, squeeze whitespace.
@@ -50,6 +55,10 @@ def _normalize_for_profile(text: str) -> str:
     word-boundary n-grams (" th", "he ") are represented — these carry a
     large share of the discriminative power.
     """
+    if text.isascii():
+        # On lowercased ASCII, ``str.isalpha`` is exactly ``[a-z]``.
+        collapsed = _ASCII_NON_LETTERS_RE.sub(" ", text.lower()).strip()
+        return f" {collapsed} " if collapsed else ""
     chars: List[str] = []
     prev_space = True
     for ch in text.lower():
@@ -64,13 +73,15 @@ def _normalize_for_profile(text: str) -> str:
 
 
 def char_ngrams(text: str, orders: Iterable[int] = NGRAM_ORDERS) -> Counter:
-    """Count character n-grams of the given *orders* in *text*."""
+    """Count character n-grams of the given *orders* in *text*.
+
+    Grams are inserted order by order, each in text order.
+    """
     counts: Counter = Counter()
     for order in orders:
-        if len(text) < order:
-            continue
-        for i in range(len(text) - order + 1):
-            counts[text[i:i + order]] += 1
+        counts.update(text if order == 1 else
+                      [text[i:i + order]
+                       for i in range(len(text) - order + 1)])
     return counts
 
 
@@ -105,16 +116,6 @@ class LanguageProfile:
             for gram, count in counts.items()
         }
         return cls(language=language, logprobs=logprobs)
-
-    def score(self, grams: Counter) -> float:
-        """Average log-likelihood of the observed n-gram counts."""
-        total = sum(grams.values())
-        if total == 0:
-            return _UNSEEN_LOGPROB
-        acc = 0.0
-        for gram, count in grams.items():
-            acc += count * self.logprobs.get(gram, _UNSEEN_LOGPROB)
-        return acc / total
 
 
 @dataclass(frozen=True)
@@ -164,21 +165,18 @@ class LanguageDetector:
         self._profiles: Tuple[LanguageProfile, ...] = tuple(
             _built_in_profile(code) for code in codes
         )
-        # Fast path: one lookup per gram yields the logprob vector over
-        # every language at once (single dict pass instead of one per
-        # language).
-        import numpy as _np
-
-        gram_union = set()
+        # Every profile gram is interned to one row of a
+        # (n_grams + 1) x n_languages table of log-probabilities; the
+        # last row, id ``len(self._gram_ids)``, is the unseen vector.
+        self._gram_ids: Dict[str, int] = {}
         for profile in self._profiles:
-            gram_union.update(profile.logprobs)
-        self._gram_logprobs: Dict[str, "_np.ndarray"] = {}
-        for gram in gram_union:
-            self._gram_logprobs[gram] = _np.array(
-                [p.logprobs.get(gram, _UNSEEN_LOGPROB)
-                 for p in self._profiles])
-        self._unseen_vector = _np.full(len(self._profiles),
-                                       _UNSEEN_LOGPROB)
+            for gram in profile.logprobs:
+                self._gram_ids.setdefault(gram, len(self._gram_ids))
+        self._table = np.full((len(self._gram_ids) + 1, len(codes)),
+                              _UNSEEN_LOGPROB)
+        for column, profile in enumerate(self._profiles):
+            rows = [self._gram_ids[gram] for gram in profile.logprobs]
+            self._table[rows, column] = list(profile.logprobs.values())
 
     @property
     def languages(self) -> Tuple[str, ...]:
@@ -195,20 +193,23 @@ class LanguageDetector:
             alphabetic characters — too little evidence for a verdict.
         """
         normalized = _normalize_for_profile(text)
-        if len(normalized.replace(" ", "")) < MIN_DETECTABLE_CHARS:
+        # The normalized text holds only letters, apostrophes and spaces.
+        letters = (len(normalized) - normalized.count(" ")
+                   - normalized.count("'"))
+        if letters < MIN_DETECTABLE_CHARS:
             raise LanguageDetectionError(
                 "not enough alphabetic characters to detect a language")
         grams = char_ngrams(normalized)
-        lookup = self._gram_logprobs
-        unseen = self._unseen_vector
-        rows = [lookup.get(gram, unseen) for gram in grams]
+        n_grams = len(grams)
+        ids = np.fromiter(
+            map(self._gram_ids.get, grams,
+                repeat(len(self._gram_ids), n_grams)),
+            dtype=np.intp, count=n_grams)
         counts = np.fromiter(grams.values(), dtype=np.float64,
-                             count=len(grams))
-        vector = counts @ np.vstack(rows) / counts.sum()
-        scores: Dict[str, float] = {
-            profile.language: float(vector[i])
-            for i, profile in enumerate(self._profiles)
-        }
+                             count=n_grams)
+        vector = counts @ self._table[ids] / counts.sum()
+        scores: Dict[str, float] = dict(zip(self.languages,
+                                            vector.tolist()))
         best = max(scores, key=scores.get)
         # Softmax over average log-likelihoods for a confidence figure.
         # Temperature scaling (x20) sharpens the distribution: average

@@ -4,11 +4,30 @@ Section III-C of the paper removes or normalizes a dozen kinds of web
 "dirt" before any stylometric feature is computed.  All the patterns
 involved live here so the cleaning steps (:mod:`repro.textproc.cleaning`)
 stay declarative and each pattern can be unit-tested in isolation.
+
+Each step first checks a cheap condition that every match of its
+patterns requires (a dot before a letter or digit for URLs, an ``@`` for
+e-mail addresses, ...) and returns the text untouched when it fails, so
+most messages skip most regular expressions.
 """
 
 from __future__ import annotations
 
 import re
+
+
+def _lacks(text: str, *words: str) -> bool:
+    """True when no case variant of the lowercase ASCII *words* is in *text*.
+
+    Decided for ASCII text only: under ``re.IGNORECASE`` the non-ASCII
+    ``İ`` and ``ı`` match ``i``, and ``str.lower`` does not map them to
+    ``i``.  For other text this returns ``False``, so the pattern runs.
+    """
+    if not text.isascii():
+        return False
+    lowered = text.lower()
+    return not any(word in lowered for word in words)
+
 
 # --- URLs (polishing step 3: keep only the hostname) -------------------
 
@@ -34,6 +53,10 @@ _COMMON_TLDS = (
     "ca", "au", "us", "eu", "ch", "se", "no", "pl", "jp", "cn", "in",
 )
 _TLD_RE = re.compile(r"\.(?:%s)$" % "|".join(_COMMON_TLDS), re.IGNORECASE)
+
+#: A dot followed by a label character, which every :data:`URL_RE` match
+#: contains.  Same class and flags, so the same non-ASCII case folds.
+_URL_HINT_RE = re.compile(r"\.[a-zA-Z0-9]", re.IGNORECASE)
 
 
 def looks_like_url(match: re.Match) -> bool:
@@ -67,6 +90,8 @@ def normalize_urls(text: str) -> str:
             host = host[len("www."):]
         return host
 
+    if not _URL_HINT_RE.search(text):
+        return text
     return URL_RE.sub(_repl, text)
 
 
@@ -82,6 +107,8 @@ EMAIL_TAG = "_mail_"
 
 def mask_emails(text: str) -> str:
     """Replace every e-mail address with the ``_mail_`` tag (step 10)."""
+    if "@" not in text:
+        return text
     return EMAIL_RE.sub(EMAIL_TAG, text)
 
 
@@ -111,6 +138,8 @@ EMOJI_RE = re.compile(
 
 def strip_emojis(text: str) -> str:
     """Remove every emoji codepoint from *text* (polishing step 4)."""
+    if text.isascii():
+        return text
     return EMOJI_RE.sub("", text)
 
 
@@ -141,6 +170,8 @@ def strip_pgp_blocks(text: str) -> str:
     forums the key is usually preceded by a short introductory sentence;
     we remove an introduction line when it directly precedes a block.
     """
+    if _lacks(text, "pgp", "gpg"):
+        return text
     text = PGP_BLOCK_RE.sub("", text)
     # Remove now-dangling introduction lines ("my PGP key:").
     text = PGP_INTRO_RE.sub("", text)
@@ -162,8 +193,10 @@ BBCODE_QUOTE_RE = re.compile(
 
 def strip_quotes(text: str) -> str:
     """Remove quoted text so only the author's own words remain (step 8)."""
-    text = BBCODE_QUOTE_RE.sub("", text)
-    text = QUOTE_LINE_RE.sub("", text)
+    if "[" in text:
+        text = BBCODE_QUOTE_RE.sub("", text)
+    if ">" in text:
+        text = QUOTE_LINE_RE.sub("", text)
     return text
 
 
@@ -190,6 +223,8 @@ def strip_edit_markers(text: str) -> str:
     the features.  Bare ``EDIT:`` prefixes are stripped but the edited
     text itself (written by the author) is kept.
     """
+    if _lacks(text, "edit"):
+        return text
     text = EDIT_BY_RE.sub("", text)
     text = EDIT_PREFIX_RE.sub("", text)
     return text

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 #: Token kinds produced by the tokenizer.
 WORD = "word"
@@ -21,9 +21,16 @@ NUMBER = "number"
 PUNCT = "punct"
 SYMBOL = "symbol"
 
+#: A word: ASCII letters, with inner apostrophes or hyphens.
+_WORD = r"[A-Za-z]+(?:['’\-][A-Za-z]+)*"
+
+#: Word tokens alone.  No other token kind contains an ASCII letter, so
+#: a word scan finds exactly the word tokens of :data:`_TOKEN_RE`.
+_WORD_RE = re.compile(_WORD)
+
 _TOKEN_RE = re.compile(
     r"""
-    (?P<word>[A-Za-z]+(?:['’\-][A-Za-z]+)*)   # words incl. contractions
+    (?P<word>""" + _WORD + r""")              # words incl. contractions
   | (?P<number>\d+(?:[.,]\d+)*)               # integers & decimals
   | (?P<ellipsis>\.{2,})                      # ... runs kept whole
   | (?P<bangrun>[!?]{2,})                     # !!, ?!?! runs kept whole
@@ -80,6 +87,15 @@ def tokenize(text: str) -> List[Token]:
     return list(iter_tokens(text))
 
 
+def words(text: str) -> List[str]:
+    """The surface forms of the word tokens of *text*, in order.
+
+    This is the one definition of a word: every other word helper here
+    is built on it.
+    """
+    return _WORD_RE.findall(text)
+
+
 def word_tokens(text: str, lowercase: bool = True) -> List[str]:
     """Return only the word tokens of *text* as plain strings.
 
@@ -91,10 +107,10 @@ def word_tokens(text: str, lowercase: bool = True) -> List[str]:
         Casefold tokens (default).  Word n-gram features are built on
         casefolded text; character n-grams see the original casing.
     """
-    words = [t.text for t in iter_tokens(text) if t.kind == WORD]
+    found = words(text)
     if lowercase:
-        words = [w.lower() for w in words]
-    return words
+        found = [w.lower() for w in found]
+    return found
 
 
 def count_words(text: str) -> int:
@@ -104,19 +120,27 @@ def count_words(text: str) -> int:
     10-word minimum of polishing step 5, for the 1,500-word alias
     budget, and for the Table III word sweeps.
     """
-    return sum(1 for t in iter_tokens(text) if t.kind == WORD)
+    return len(words(text))
+
+
+def distinct_ratio(found: Sequence[str]) -> float:
+    """Ratio of distinct casefolded words over total words.
+
+    *found* is the output of :func:`words`.  Returns 0.0 when it is
+    empty, which makes empty or symbol-only messages fail the spam
+    filter as intended.
+    """
+    if not found:
+        return 0.0
+    return len({w.lower() for w in found}) / len(found)
 
 
 def distinct_word_ratio(text: str) -> float:
     """Ratio of distinct words over total words (polishing step 6).
 
-    Returns 0.0 for text without any word token, which makes empty or
-    symbol-only messages fail the spam filter as intended.
+    Returns 0.0 for text without any word token.
     """
-    words = word_tokens(text)
-    if not words:
-        return 0.0
-    return len(set(words)) / len(words)
+    return distinct_ratio(words(text))
 
 
 def sentences(text: str) -> List[str]:

@@ -148,6 +148,18 @@ class TestPolishForum:
         assert len(polished.users["alice"].messages) == 1
         assert report.dropped_duplicates == 1
 
+    def test_same_text_by_two_users_kept_for_both(self):
+        # deduplication is per user: another alias posting the same
+        # text is not a crosspost
+        forum = _forum([
+            _msg(1, "alice", GOOD, section="r/a"),
+            _msg(2, "bob", GOOD, section="r/b"),
+        ])
+        polished, report = polish_forum(forum)
+        assert [m.text for m in polished.users["alice"].messages] == [GOOD]
+        assert [m.text for m in polished.users["bob"].messages] == [GOOD]
+        assert report.dropped_duplicates == 0
+
     def test_empty_users_removed(self):
         forum = _forum([_msg(1, "bob", "too short to keep")])
         polished, report = polish_forum(forum)

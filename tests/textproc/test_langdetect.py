@@ -63,6 +63,15 @@ class TestDetection:
         with pytest.raises(LanguageDetectionError):
             detector.detect("!!! ??? 123 ...")
 
+    @pytest.mark.parametrize("text", ["'''''' ''''", "it's 'a' 'b'"])
+    def test_apostrophes_are_not_letters(self, detector, text):
+        # fewer than MIN_DETECTABLE_CHARS letters, however many quotes
+        with pytest.raises(LanguageDetectionError):
+            detector.detect(text)
+
+    def test_six_letters_are_enough(self, detector):
+        assert detector.detect("'abcdef'").language in detector.languages
+
     def test_deterministic(self, detector):
         text = "short ambiguous text here for determinism check"
         first = detector.detect(text)
