@@ -82,7 +82,6 @@ from repro.perf import ParallelExecutor, ProfileCache
 from repro.pipeline import LinkingPipeline, PipelineReport
 from repro.resilience import (
     CheckpointStore,
-    CircuitBreaker,
     DeadlineBudget,
     FaultPlan,
     RetryPolicy,
@@ -113,7 +112,6 @@ __all__ = [
     "ThresholdCalibrator",
     "CheckpointError",
     "CheckpointStore",
-    "CircuitBreaker",
     "ConfigurationError",
     "DatasetError",
     "DeadlineBudget",

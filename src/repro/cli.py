@@ -8,8 +8,7 @@ Six subcommands cover the end-to-end workflow of the paper:
   egos (Section IV-E);
 * ``link`` — link the aliases of one forum against another
   (Sections IV-I/IV-J); ``--checkpoint FILE``/``--resume`` make long
-  runs crash-safe, ``--max-retries``/``--retry-deadline`` bound
-  transient-failure retries (see ``docs/robustness.md``),
+  runs crash-safe (see ``docs/robustness.md``),
   ``--workers N``/``--no-cache``/``--block-size`` tune the perf
   subsystem (see ``docs/performance.md``); ``--index SNAP`` links
   against a prebuilt snapshot instead of refitting, and
@@ -73,7 +72,6 @@ from repro.obs.report import load_trace, render_stats, \
 from repro.obs.spans import enable_tracing, reset_trace
 from repro.pipeline import LinkingPipeline
 from repro.profiling.extractor import ProfileExtractor
-from repro.resilience.policy import RetryPolicy
 from repro.profiling.report import render_report
 from repro.synth.world import WorldConfig, build_world
 from repro.textproc.cleaning import CleaningConfig, polish_forum
@@ -152,13 +150,6 @@ def _make_budget(args: argparse.Namespace):
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    retry_policy = None
-    if args.max_retries is not None or args.retry_deadline is not None:
-        retry_policy = RetryPolicy(
-            max_retries=args.max_retries
-            if args.max_retries is not None else 3,
-            deadline=args.retry_deadline,
-        )
     unknown = load_forum(args.unknown)
     if args.index is not None:
         from repro.resilience.snapshot import load_index
@@ -175,7 +166,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=getattr(linker, "batch_size", None),
-            retry_policy=retry_policy,
             workers=linker.workers,
             cache=linker.cache.enabled,
             block_size=linker.block_size,
@@ -195,7 +185,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=args.batch_size,
-            retry_policy=retry_policy,
             workers=args.workers,
             cache=not args.no_cache,
             block_size=args.block_size,
@@ -543,13 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--resume", action="store_true",
                       help="skip unknowns already completed in "
                            "--checkpoint FILE")
-    link.add_argument("--max-retries", type=int, default=None,
-                      help="retries per pipeline stage on transient "
-                           "failures (default 3 when retries are "
-                           "enabled)")
-    link.add_argument("--retry-deadline", type=float, default=None,
-                      metavar="SECONDS",
-                      help="total retry budget per stage in seconds")
     link.add_argument("--workers", type=int, default=None, metavar="N",
                       help="worker processes for the stage-2 restage "
                            "(default from REPRO_WORKERS, else serial; "

@@ -49,7 +49,7 @@ from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
 from repro.perf.parallel import ParallelExecutor, resolve_workers
 from repro.resilience.checkpoint import CheckpointStore, open_store
-from repro.resilience.degrade import CircuitBreaker, DeadlineBudget
+from repro.resilience.degrade import DeadlineBudget
 
 log = get_logger(__name__)
 
@@ -86,9 +86,9 @@ class Match:
         The reduction-stage similarity (diagnostics).
     degraded:
         ``True`` when the answer was produced on partial evidence (a
-        deadline or circuit breaker cut a stage short).  Degraded
-        matches are honest — ``score`` is whatever evidence actually
-        ran — but not comparable to full-pipeline scores.
+        deadline cut a stage short).  Degraded matches are honest —
+        ``score`` is whatever evidence actually ran — but not
+        comparable to full-pipeline scores.
     degraded_reasons:
         Why, e.g. ``("stage1_only",)`` or ``("stylometry_only",)``.
     """
@@ -194,7 +194,7 @@ class LinkResult:
         return [m for m in self.matches if m.accepted]
 
     def degraded(self) -> List[Match]:
-        """Matches answered on partial evidence (deadline/breaker)."""
+        """Matches answered on partial evidence (deadline)."""
         return [m for m in self.matches if m.degraded]
 
     def all_scored_pairs(self) -> Iterator[Tuple[str, str, float]]:
@@ -373,9 +373,11 @@ def _restage_chunk_task(linker: "AliasLinker",
 
     Module-level so the persistent pool can pickle the function
     reference; the fitted linker rides along as the fork-shared state
-    and only the chunk itself crosses the pipe.
+    and only the chunk itself crosses the pipe.  A budgeted link runs
+    its chunks in the parent (one worker), so ``linker._budget`` is the
+    live budget of that call; forked workers only ever see ``None``.
     """
-    return linker._stage2_chunk(chunk)
+    return linker._stage2_chunk(chunk, linker._budget)
 
 
 class AliasLinker:
@@ -413,11 +415,6 @@ class AliasLinker:
         Known-corpus rows scored per stage-1 block (memory bound);
         ``None`` resolves through ``REPRO_BLOCK_SIZE``.  Resolved once
         at construction; ``self.block_size`` is always a concrete int.
-    breaker:
-        Optional :class:`~repro.resilience.degrade.CircuitBreaker`
-        guarding stage 2: after enough consecutive restage failures it
-        opens and subsequent unknowns are answered degraded from their
-        stage-1 scores instead of burning time on a failing stage.
     """
 
     def __init__(self, k: int = DEFAULT_K,
@@ -430,8 +427,7 @@ class AliasLinker:
                  use_reduction: bool = True,
                  workers: Optional[int] = None,
                  cache: Union[bool, ProfileCache] = True,
-                 block_size: Optional[int] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
+                 block_size: Optional[int] = None) -> None:
         if k < 1:
             raise ConfigurationError(
                 f"k must be a positive integer, got {k}")
@@ -451,7 +447,6 @@ class AliasLinker:
         # environment change cannot skew a sweep.
         self.workers = resolve_workers(workers)
         self.block_size = resolve_block_size(block_size)
-        self.breaker = breaker
         if isinstance(cache, ProfileCache):
             self.cache = cache
         else:
@@ -463,7 +458,7 @@ class AliasLinker:
         #: stale forked state is never reused across fits.
         self._state_version = 0
         #: The deadline of the :meth:`link` call in flight, for the
-        #: stage-1 hook :meth:`_reduce`.
+        #: stage-1 hook :meth:`_reduce` and the restage chunks.
         self._budget: Optional[DeadlineBudget] = None
 
     def _make_reducer(self, k: int) -> KAttributor:
@@ -491,27 +486,6 @@ class AliasLinker:
 
     # -- stage 2 -------------------------------------------------------------
 
-    def _rescore(self, unknown: AliasDocument,
-                 candidates: Sequence[AliasDocument],
-                 use_activity: Optional[bool] = None,
-                 ) -> List[Tuple[str, float]]:
-        """Second-stage scores of *candidates* against *unknown*.
-
-        A fresh extractor is fitted on the candidate documents alone:
-        "we recompute the Tf-Idf on the documents of these k users ...
-        this procedure changes the feature vector of the unknown alias
-        too" (Section IV-I).
-
-        *use_activity* overrides the linker-level setting for this one
-        restage; degraded mode uses it to shed the activity block when
-        a deadline is nearly spent.
-        """
-        candidate_matrix, unknown_matrix = self._stage2_vectors(
-            unknown, candidates, use_activity=use_activity)
-        scores = cosine_similarity(unknown_matrix, candidate_matrix)[0]
-        return [(doc.doc_id, float(score))
-                for doc, score in zip(candidates, scores)]
-
     def _stage2_vectors(self, unknown: AliasDocument,
                         candidates: Sequence[AliasDocument],
                         use_activity: Optional[bool] = None,
@@ -519,6 +493,10 @@ class AliasLinker:
         """The per-pair candidate-set fit, returning the two stage-2
         matrices (candidates, then the unknown) without scoring them —
         the batched restage folds many pairs into one similarity call.
+
+        *use_activity* overrides the linker-level setting for this one
+        pair; degraded mode uses it to shed the activity block when a
+        deadline is nearly spent.
         """
         if use_activity is None:
             use_activity = self.use_activity
@@ -569,13 +547,24 @@ class AliasLinker:
     def rescore(self, unknown: AliasDocument,
                 candidates: Sequence[AliasDocument],
                 ) -> List[Tuple[str, float]]:
-        """Public second-stage restage of one unknown.
+        """Second-stage scores of *candidates* against *unknown*.
 
-        Exposed so benchmarks and callers with their own candidate sets
-        can time or drive the restage in isolation; :meth:`link` goes
-        through the same code path.
+        A fresh extractor is fitted on the candidate documents alone:
+        "we recompute the Tf-Idf on the documents of these k users ...
+        this procedure changes the feature vector of the unknown alias
+        too" (Section IV-I).
+
+        The single-pair reference: benchmarks and callers with their
+        own candidate sets time or drive the restage with it, and
+        :meth:`link`'s chunked restage scores every pair bit-identically
+        to it (see :meth:`_cosine_blocks`).
         """
-        return self._rescore(unknown, list(candidates))
+        candidates = list(candidates)
+        candidate_matrix, unknown_matrix = self._stage2_vectors(
+            unknown, candidates)
+        scores = cosine_similarity(unknown_matrix, candidate_matrix)[0]
+        return [(doc.doc_id, float(score))
+                for doc, score in zip(candidates, scores)]
 
     def rescore_batch(self, pairs: Sequence[Tuple[AliasDocument,
                                                   Sequence[AliasDocument]]],
@@ -632,32 +621,55 @@ class AliasLinker:
                 continue
 
     def _stage2_chunk(self, chunk: Sequence[Candidates],
+                      budget: Optional[DeadlineBudget],
                       ) -> List[Tuple[str, Any]]:
         """Restage a chunk of unknowns with one batched similarity.
+
+        Returns one outcome per unknown: ``("ok", (scored, best_id,
+        best_score, reasons))``, ``("degraded", reasons)`` — answer
+        from stage-1 evidence — or ``("error", reason)``.
 
         Error isolation stays per-unknown: a pair whose candidate-set
         fit raises is reported as ``("error", reason)`` without
         dragging down its chunk-mates, whose matrices still enter the
-        shared block-diagonal product.
+        shared block-diagonal product.  *budget* is consulted before
+        each pair: once spent, the pair degrades to ``stage1_only``
+        (or, strict, raises past the per-pair isolation); at the
+        activity reserve it restages ``stylometry_only``.
         """
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(chunk)
         prepped: List[Tuple[int, sparse.csr_matrix,
-                            sparse.csr_matrix]] = []
+                            sparse.csr_matrix, Tuple[str, ...]]] = []
+        activity_on = self.use_activity and self.weights.activity > 0
         for pos, candidates in enumerate(chunk):
             unknown = candidates.unknown
+            use_activity: Optional[bool] = None
+            reasons: Tuple[str, ...] = ()
+            if budget is not None:
+                if budget.expired():
+                    budget.check("restage")  # raises unless degraded_ok
+                    outcomes[pos] = ("degraded", ("stage1_only",))
+                    continue
+                if activity_on and budget.activity_low():
+                    # Not enough budget left for the activity block:
+                    # restage on stylometry alone rather than blow
+                    # the deadline.
+                    use_activity = False
+                    reasons = ("stylometry_only",)
             try:
                 with span("linker.stage2", unknown=unknown.doc_id,
                           k=len(candidates.documents)):
                     cand_matrix, unk_matrix = self._stage2_vectors(
-                        unknown, candidates.documents)
-                prepped.append((pos, cand_matrix, unk_matrix))
+                        unknown, candidates.documents,
+                        use_activity=use_activity)
+                prepped.append((pos, cand_matrix, unk_matrix, reasons))
             except Exception as exc:  # noqa: BLE001 - quarantined later
                 outcomes[pos] = ("error",
                                  f"final attribution failed: {exc}")
         if prepped:
             rows = self._cosine_blocks(
-                [(cand, unk) for _, cand, unk in prepped])
-            for (pos, _, _), pair_scores in zip(prepped, rows):
+                [(cand, unk) for _, cand, unk, _ in prepped])
+            for (pos, _, _, reasons), pair_scores in zip(prepped, rows):
                 candidates = chunk[pos]
                 scored = [(doc.doc_id, float(score))
                           for doc, score in zip(candidates.documents,
@@ -665,52 +677,8 @@ class AliasLinker:
                 best_id, best_score = max(scored,
                                           key=lambda pair: pair[1])
                 outcomes[pos] = ("ok", (scored, best_id,
-                                        float(best_score)))
+                                        float(best_score), reasons))
         return list(outcomes)
-
-    def _stage2_guarded(self, candidates: Candidates,
-                        budget: Optional[DeadlineBudget],
-                        ) -> Tuple[str, Any]:
-        """One unknown's restage under a deadline budget and/or circuit
-        breaker (always serial — degraded mode needs honest per-call
-        accounting, not fork-time snapshots of the budget clock).
-
-        Returns ``("ok", (scored, best_id, best_score, reasons))``,
-        ``("degraded", reasons)`` — answer from stage-1 evidence — or
-        ``("error", reason)``.
-        """
-        unknown = candidates.unknown
-        if self.breaker is not None and not self.breaker.allow():
-            return ("degraded", ("stage2_circuit_open",))
-        if budget is not None and budget.expired():
-            budget.check("restage")  # raises unless degraded_ok
-            return ("degraded", ("stage1_only",))
-        reasons: List[str] = []
-        use_activity: Optional[bool] = None
-        activity_on = self.use_activity and self.weights.activity > 0
-        if activity_on and budget is not None and budget.activity_low():
-            # Not enough budget left for the activity block: restage on
-            # stylometry alone rather than blow the deadline.
-            use_activity = False
-            reasons.append("stylometry_only")
-        elif activity_on and unknown.activity is None:
-            # Full restage runs, but the unknown brought no activity
-            # evidence — flag the gap instead of implying it was used.
-            reasons.append("stylometry_only")
-        try:
-            with span("linker.stage2", unknown=unknown.doc_id,
-                      k=len(candidates.documents)):
-                scored = self._rescore(unknown, candidates.documents,
-                                       use_activity=use_activity)
-            best_id, best_score = max(scored, key=lambda pair: pair[1])
-        except Exception as exc:  # noqa: BLE001 - quarantined by caller
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return ("error", f"final attribution failed: {exc}")
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return ("ok", (scored, best_id, float(best_score),
-                       tuple(reasons)))
 
     def _fingerprint(self) -> Dict[str, Any]:
         """Run configuration pinned into checkpoint files."""
@@ -784,8 +752,8 @@ class AliasLinker:
         when the budget was spent before stage 1 even ran — quarantined
         with ``stage="deadline"``.  A budget with ``degraded_ok=False``
         raises :class:`~repro.errors.DeadlineExceededError` instead.
-        Without a budget (and no breaker) this method is byte-identical
-        to its pre-degraded-mode behavior.
+        Without a budget, or with one that never expires, the result
+        is byte-identical to a run without degraded mode.
         """
         if self._known is None:
             raise NotFittedError(
@@ -807,7 +775,6 @@ class AliasLinker:
             valid.append(unknown)
         pending = [u for u in valid
                    if store is None or u.doc_id not in store]
-        guarded = budget is not None or self.breaker is not None
         n_accepted = 0
         n_degraded = 0
         with span("linker.link", n_unknowns=len(unknowns),
@@ -825,26 +792,19 @@ class AliasLinker:
             self._budget = budget
             reduced = self._reduce_isolated(pending, skipped, store)
             self._warm(c.unknown for c in reduced)
-            # Guarded runs stay fully serial: the budget clock and
-            # breaker live here and must see every call.
-            if guarded:
-                with span("linker.restage", n_unknowns=len(reduced),
-                          workers=1):
-                    outcomes = [self._stage2_guarded(c, budget)
-                                for c in reduced]
-            else:
-                executor = ParallelExecutor(self.workers)
-                chunk = _restage_chunk_size(len(reduced),
-                                            executor.workers)
-                chunks = [list(reduced[i:i + chunk])
-                          for i in range(0, len(reduced), chunk)]
-                with span("linker.restage", n_unknowns=len(reduced),
-                          workers=executor.workers):
-                    folded = executor.map_shared(
-                        _restage_chunk_task, chunks, state=self,
-                        version=self._state_version)
-                outcomes = [outcome for part in folded
-                            for outcome in part]
+            # A budgeted restage runs in the parent: the budget clock
+            # and a strict-mode DeadlineExceededError must stay here.
+            executor = ParallelExecutor(
+                1 if budget is not None else self.workers)
+            chunk = _restage_chunk_size(len(reduced), executor.workers)
+            chunks = [list(reduced[i:i + chunk])
+                      for i in range(0, len(reduced), chunk)]
+            with span("linker.restage", n_unknowns=len(reduced),
+                      workers=executor.workers):
+                folded = executor.map_shared(
+                    _restage_chunk_task, chunks, state=self,
+                    version=self._state_version)
+            outcomes = [outcome for part in folded for outcome in part]
             # Match construction, metrics and checkpoint records stay in
             # the parent, in reduced order — a workers=4 run writes the
             # same records in the same order as workers=1.
@@ -867,8 +827,7 @@ class AliasLinker:
                     best_id, best_score = max(scored,
                                               key=lambda pair: pair[1])
                 else:
-                    scored, best_id, best_score, *rest = payload
-                    reasons = rest[0] if rest else ()
+                    scored, best_id, best_score, reasons = payload
                     _CANDIDATE_SET.observe(len(candidates.documents))
                     _RESCORED.inc(len(scored))
                     _BEST_SCORE.observe(best_score)

@@ -23,10 +23,10 @@ Cells are ``(drift, text-size bucket)`` pairs:
 
 Everything honours the feature-family configuration
 (:class:`repro.config.FeatureConfig`), including the reply-graph
-structure family, and the resilience variants: deadline budgets,
-circuit breakers and snapshot round-trips can be injected per run
-with honest per-episode degraded accounting — degraded or skipped
-episodes are counted, never silently folded into the quality metrics.
+structure family, and the resilience variants: deadline budgets and
+snapshot round-trips can be injected per run with honest per-episode
+degraded accounting — degraded or skipped episodes are counted, never
+silently folded into the quality metrics.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.perf.cache import ProfileCache
-from repro.resilience.degrade import CircuitBreaker, DeadlineBudget
+from repro.resilience.degrade import DeadlineBudget
 from repro.synth.rng import substream
 
 log = get_logger(__name__)
 
 #: Episodes scored (any variant, any fidelity).
 _EPISODES_RUN = counter("episodes_run_total")
-#: Episodes answered on partial evidence (deadline / breaker).
+#: Episodes answered on partial evidence (deadline).
 _EPISODES_DEGRADED = counter("episodes_degraded_total")
 #: Episodes quarantined instead of scored.
 _EPISODES_SKIPPED = counter("episodes_skipped_total")
@@ -526,7 +526,6 @@ def _warm_cache(cache: ProfileCache, documents: Sequence[AliasDocument],
 
 def _score_episode_full(episode: Episode, features: FeatureConfig,
                         threshold: float, cache: ProfileCache,
-                        breaker: Optional[CircuitBreaker],
                         budget: Optional[DeadlineBudget],
                         snapshot_dir: Optional[Path],
                         ) -> EpisodeOutcome:
@@ -537,7 +536,6 @@ def _score_episode_full(episode: Episode, features: FeatureConfig,
         use_activity=features.activity,
         use_structure=features.structure,
         cache=cache,
-        breaker=breaker,
     )
     linker.fit(list(episode.candidates))
     if snapshot_dir is not None:
@@ -654,7 +652,6 @@ def run_episodes(episodes: Sequence[Episode],
                  threshold: float = PAPER_THRESHOLD,
                  budget_factory: Optional[
                      Callable[[], DeadlineBudget]] = None,
-                 breaker: Optional[CircuitBreaker] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
                  cache: Optional[ProfileCache] = None) -> EpisodeReport:
     """Score an episode suite with a configured linker variant.
@@ -676,9 +673,6 @@ def run_episodes(episodes: Sequence[Episode],
         answered degraded (or quarantined) under it are counted per
         cell and excluded from the quality metrics.  Full variant
         only.
-    breaker:
-        Optional circuit breaker shared across episodes (full variant
-        only).
     snapshot_dir:
         When set, every fitted linker is saved to and reloaded from
         an index snapshot in this directory before scoring — the
@@ -739,7 +733,7 @@ def run_episodes(episodes: Sequence[Episode],
                     outcome = _score_episode_full(
                         episode, features, threshold,
                         shared if shared is not None
-                        else ProfileCache(), breaker, budget,
+                        else ProfileCache(), budget,
                         Path(snapshot_dir)
                         if snapshot_dir is not None else None)
             _EPISODES_RUN.inc()

@@ -37,8 +37,6 @@ from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
 from repro.perf.parallel import resolve_workers
 from repro.resilience.degrade import DeadlineBudget
-from repro.resilience.faults import GUARD_POLICY_DELAYS, get_fault_plan
-from repro.resilience.policy import RetryPolicy
 from repro.textproc.cleaning import CleaningConfig, PolishReport, \
     polish_forum
 
@@ -70,13 +68,6 @@ class LinkingPipeline:
     batch_size:
         When set, the RAM-bounded batched procedure of Section IV-J is
         used with this *B* instead of the in-memory linker.
-    retry_policy:
-        Retry budget for transient stage failures (injected faults,
-        flaky I/O).  ``None`` retries only when a fault plan is active
-        (with a default policy); pass an explicit
-        :class:`~repro.resilience.policy.RetryPolicy` to also absorb
-        real ``TransientError`` / ``ConnectionError`` / ``TimeoutError``
-        from the stages, or to tune attempts and the deadline.
     workers:
         Worker processes for the stage-2 restage (``None`` reads
         ``REPRO_WORKERS``; 1 = serial).  Any worker count produces
@@ -94,7 +85,6 @@ class LinkingPipeline:
                  cleaning: CleaningConfig | None = None,
                  weights: FeatureWeights | None = None,
                  batch_size: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  workers: Optional[int] = None,
                  cache: bool = True,
                  block_size: Optional[int] = None) -> None:
@@ -102,7 +92,6 @@ class LinkingPipeline:
         self.cleaning = cleaning or CleaningConfig()
         self.weights = weights or FeatureWeights()
         self.batch_size = batch_size
-        self.retry_policy = retry_policy
         self.workers = resolve_workers(workers)
         self.cache = cache
         self.block_size = resolve_block_size(block_size)
@@ -131,22 +120,6 @@ class LinkingPipeline:
             "block_size": self.block_size,
         }
 
-    def _guard(self, site: str, fn, *args, **kwargs):
-        """Run one pipeline stage under fault injection + retries.
-
-        Stages are pure functions of their inputs, so retrying a whole
-        stage after a transient failure reproduces exactly the result
-        an undisturbed run would have produced.
-        """
-        plan = get_fault_plan()
-        target = plan.wrap(site, fn) if plan is not None else fn
-        policy = self.retry_policy
-        if policy is None:
-            if plan is None:
-                return fn(*args, **kwargs)
-            policy = RetryPolicy(seed=plan.seed, **GUARD_POLICY_DELAYS)
-        return policy.call(target, *args, **kwargs)
-
     def prepare_forum(self, forum: Forum,
                       is_known: bool = True) -> List[AliasDocument]:
         """Polish and refine one forum into alias documents.
@@ -168,15 +141,12 @@ class LinkingPipeline:
                 # the raw forum: polishing only rewrites text and
                 # must not disturb it.
                 with span("pipeline.structure", forum=forum.name):
-                    profiles = self._guard(
-                        "pipeline.structure", structure_profiles, forum)
+                    profiles = structure_profiles(forum)
             with span("pipeline.polish", forum=forum.name):
-                polished, polish_report = self._guard(
-                    "pipeline.polish", polish_forum, forum,
-                    self.cleaning)
+                polished, polish_report = polish_forum(forum,
+                                                       self.cleaning)
             with span("pipeline.refine", forum=forum.name):
-                documents = self._guard(
-                    "pipeline.refine", refine_forum,
+                documents = refine_forum(
                     polished,
                     words_per_alias=self.config.words_per_alias,
                     min_timestamps=self.config.min_timestamps,
@@ -240,10 +210,9 @@ class LinkingPipeline:
                   n_unknown=len(unknown),
                   batched=self.batch_size is not None):
             linker = self._make_linker()
-            self._guard("pipeline.fit", linker.fit, known)
-            return self._guard("pipeline.link", linker.link, unknown,
-                               checkpoint=checkpoint, resume=resume,
-                               budget=budget)
+            linker.fit(known)
+            return linker.link(unknown, checkpoint=checkpoint,
+                               resume=resume, budget=budget)
 
     def link_forums(self, known_forum: Forum,
                     unknown_forum: Forum,

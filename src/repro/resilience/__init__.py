@@ -6,7 +6,7 @@ layer one shared vocabulary for surviving it:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: exponential
   backoff with deterministic jitter, attempt caps, and a total-deadline
-  budget (used by the scraper, storage I/O, and pipeline stages);
+  budget (used by the scraper, storage I/O, snapshots and checkpoints);
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`: seeded,
   reproducible injection of transient failures, record corruption,
   clock skew, and filesystem faults — torn writes, ``ENOSPC``, bit
@@ -21,16 +21,15 @@ layer one shared vocabulary for surviving it:
   snapshots: :func:`save_index` / :func:`load_index` round-trip a
   fitted linker bit-identically, :func:`verify_index` /
   :func:`salvage_index` audit and recover damaged files;
-* :mod:`repro.resilience.degrade` — :class:`DeadlineBudget` and
-  :class:`CircuitBreaker`: per-call wall-clock budgets and stage
-  breakers that turn overruns into partial-but-honest degraded
-  results instead of blown deadlines.
+* :mod:`repro.resilience.degrade` — :class:`DeadlineBudget`: per-call
+  wall-clock budgets that turn overruns into partial-but-honest
+  degraded results instead of blown deadlines.
 
 Semantics and file formats: ``docs/robustness.md``.
 """
 
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
-from repro.resilience.degrade import CircuitBreaker, DeadlineBudget
+from repro.resilience.degrade import DeadlineBudget
 from repro.resilience.faults import (
     DEFAULT_FAULT_RATE,
     FAULT_KINDS,
@@ -59,7 +58,6 @@ from repro.resilience.snapshot import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointStore",
-    "CircuitBreaker",
     "DEFAULT_FAULT_RATE",
     "DEFAULT_RETRYABLE",
     "DeadlineBudget",

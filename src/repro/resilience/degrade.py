@@ -1,35 +1,24 @@
-"""Degraded-mode execution: deadline budgets and circuit breakers.
+"""Degraded-mode execution: per-call deadline budgets.
 
-A production linking service must answer *something* when a stage is
-slow or broken — partial-but-honest beats late-or-dead.  Two small
-primitives carry that policy for the linkers:
+A production linking service must answer *something* when a call runs
+long — partial-but-honest beats late-or-dead.  :class:`DeadlineBudget`
+carries that policy for the linkers: a per-call wall-clock budget
+threaded through the linking stages.  Stages consult it between units
+of work; once the budget is spent, the expensive second stage is
+skipped and every remaining unknown is answered from the stage-1
+candidate scores with an explicit ``degraded`` flag and a reason
+(``"stage1_only"``, or ``"stylometry_only"`` when the activity reserve
+was hit).  With ``degraded_ok=False`` expiry raises
+:class:`~repro.errors.DeadlineExceededError` instead.
 
-* :class:`DeadlineBudget` — a per-call wall-clock budget threaded
-  through the linking stages.  Stages consult it between units of work;
-  once the budget is spent, the expensive second stage is skipped and
-  every remaining unknown is answered from the stage-1 candidate scores
-  with an explicit ``degraded`` flag and a reason (``"stage1_only"``,
-  ``"stylometry_only"``, ...).  With ``degraded_ok=False`` expiry
-  raises :class:`~repro.errors.DeadlineExceededError` instead.
-
-* :class:`CircuitBreaker` — trips after N *consecutive* failures of a
-  stage and routes around it (the linker degrades exactly as under a
-  spent deadline, with reason ``"stage2_circuit_open"``) instead of
-  paying the failure cost once per unknown.  After ``recovery_time``
-  seconds one trial call is let through (half-open); success closes the
-  breaker, failure re-opens it.
-
-Both take an injected ``clock`` (default :func:`time.monotonic`) so
-tests control time exactly; neither ever sleeps.  Everything is
-observable: ``deadline_expired_total`` counts budgets that ran out,
-``circuit_breaker_opened_total`` / ``circuit_breaker_short_circuits_total``
-count trips and routed-around calls, and both emit structured-log
-events (``deadline.expired``, ``breaker.open``, ``breaker.close``).
+The budget takes an injected ``clock`` (default :func:`time.monotonic`)
+so tests control time exactly; it never sleeps.  Expiry is observable:
+``deadline_expired_total`` counts budgets that ran out, and the
+``deadline.expired`` structured-log event records when.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Optional
 
@@ -37,16 +26,12 @@ from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
 
-__all__ = ["DeadlineBudget", "CircuitBreaker"]
+__all__ = ["DeadlineBudget"]
 
 log = get_logger(__name__)
 
 #: Deadline budgets that ran out before their call finished.
 _EXPIRED = counter("deadline_expired_total")
-#: Circuit breakers tripped open (closed/half-open -> open edges).
-_OPENED = counter("circuit_breaker_opened_total")
-#: Calls short-circuited because a breaker was open.
-_SHORTED = counter("circuit_breaker_short_circuits_total")
 
 
 class DeadlineBudget:
@@ -122,104 +107,3 @@ class DeadlineBudget:
                 f"deadline of {self.deadline_ms:g} ms exceeded after "
                 f"{self.elapsed_ms():.1f} ms (stage: {stage})",
                 stage=stage)
-
-
-class CircuitBreaker:
-    """Trip a stage after N consecutive failures; route around it.
-
-    Parameters
-    ----------
-    name:
-        Label used in metrics attributes and log events.
-    failure_threshold:
-        Consecutive :meth:`record_failure` calls that open the breaker.
-    recovery_time:
-        Seconds after opening before one half-open trial call is
-        allowed.  ``None`` keeps the breaker open until :meth:`reset`.
-    clock:
-        Monotonic-seconds source (injected by tests).
-    """
-
-    def __init__(self, name: str = "stage2",
-                 failure_threshold: int = 5,
-                 recovery_time: Optional[float] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, "
-                f"got {failure_threshold}")
-        if recovery_time is not None and recovery_time <= 0:
-            raise ConfigurationError(
-                f"recovery_time must be positive, got {recovery_time}")
-        self.name = name
-        self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
-        self._clock = clock if clock is not None else time.monotonic
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = "closed"
-        self._opened_at: Optional[float] = None
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half_open"``."""
-        with self._lock:
-            return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        with self._lock:
-            return self._failures
-
-    def allow(self) -> bool:
-        """Whether the guarded stage may run right now.
-
-        An open breaker transitions to half-open (and lets one trial
-        call through) once ``recovery_time`` has elapsed.
-        """
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "open":
-                if self.recovery_time is not None and \
-                        self._opened_at is not None and \
-                        self._clock() - self._opened_at \
-                        >= self.recovery_time:
-                    self._state = "half_open"
-                    log.info("breaker.half_open", name=self.name)
-                    return True
-                _SHORTED.inc()
-                return False
-            return True  # half_open: the trial call is in flight
-
-    def record_success(self) -> None:
-        """Note a successful call; closes a half-open breaker."""
-        with self._lock:
-            self._failures = 0
-            if self._state != "closed":
-                self._state = "closed"
-                self._opened_at = None
-                log.info("breaker.close", name=self.name)
-
-    def record_failure(self) -> None:
-        """Note a failed call; may trip the breaker open."""
-        with self._lock:
-            self._failures += 1
-            tripped = self._state == "half_open" \
-                or self._failures >= self.failure_threshold
-            if tripped and self._state != "open":
-                self._state = "open"
-                self._opened_at = self._clock()
-                _OPENED.inc()
-                log.warning("breaker.open", name=self.name,
-                            failures=self._failures,
-                            threshold=self.failure_threshold)
-            elif tripped:
-                self._opened_at = self._clock()
-
-    def reset(self) -> None:
-        """Force the breaker closed and forget failure history."""
-        with self._lock:
-            self._failures = 0
-            self._state = "closed"
-            self._opened_at = None

@@ -3,7 +3,8 @@
 The paper's collection environment — scraped hidden services over Tor —
 fails constantly, and a reproduction that is only ever exercised on the
 happy path is not a reproduction of that environment.  A
-:class:`FaultPlan` wraps pipeline stages and storage I/O and injects:
+:class:`FaultPlan` wraps the I/O sites (storage and index snapshots)
+and injects:
 
 * **transient failures** (:class:`~repro.errors.TransientError`) that a
   :class:`~repro.resilience.policy.RetryPolicy` is expected to absorb;
@@ -258,7 +259,7 @@ def install_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     """Install *plan* process-wide; returns the previous plan.
 
     Pass ``None`` to deactivate injection.  Instrumented call sites
-    (storage I/O, pipeline stages) consult :func:`get_fault_plan` on
+    (storage and snapshot I/O) consult :func:`get_fault_plan` on
     every operation, so installation takes effect immediately.
     """
     global _ACTIVE

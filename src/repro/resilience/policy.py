@@ -3,10 +3,9 @@ jitter, attempt caps, and a total-deadline budget.
 
 The paper's collection ran against hidden services over Tor, where
 transient failures are the norm, not the exception.  Every stage that
-talks to a flaky medium (the simulated scraper, storage I/O under
-fault injection, pipeline stages wrapped by a
-:class:`~repro.resilience.faults.FaultPlan`) shares one policy
-abstraction instead of growing its own ad-hoc loop:
+talks to a flaky medium (the simulated scraper, and storage and
+snapshot I/O under a :class:`~repro.resilience.faults.FaultPlan`)
+shares one policy abstraction instead of growing its own ad-hoc loop:
 
     policy = RetryPolicy(max_retries=5, base_delay=0.5)
     result = policy.call(flaky_fn, arg1, arg2)

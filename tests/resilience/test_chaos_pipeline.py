@@ -1,18 +1,20 @@
 """Chaos tests: the pipeline under deterministic fault injection.
 
-The acceptance criterion: a :class:`LinkingPipeline` run with transient
-faults injected at a 30% rate completes and produces matches identical
-to a fault-free run (stages are pure, so stage-level retries are
-exact).
+The acceptance criterion: a forum round trip through storage with
+transient faults injected at its I/O sites at a 30% rate, then a
+:class:`LinkingPipeline` run, completes and produces matches identical
+to a fault-free run (the storage retries re-read the same bytes, so
+they are exact).  The linking stages themselves are pure computation
+and are not fault-injected.
 """
 
 import pytest
 
 from repro.config import PipelineConfig
-from repro.errors import ConfigurationError, RetryExhaustedError
+from repro.errors import ConfigurationError
+from repro.forums.storage import load_forum, save_forum
 from repro.pipeline import LinkingPipeline
 from repro.resilience.faults import FaultPlan, install_fault_plan
-from repro.resilience.policy import RetryPolicy
 
 
 @pytest.fixture
@@ -30,7 +32,8 @@ def _pipeline():
 
 
 class TestChaosPipeline:
-    def test_forum_run_matches_fault_free(self, world, chaos_30):
+    def test_forum_run_matches_fault_free(self, world, tmp_path,
+                                          chaos_30):
         known = world.forums["dm"]
         unknown = world.forums["tmg"]
 
@@ -38,7 +41,11 @@ class TestChaosPipeline:
         clean = _pipeline().link_forums(known, unknown)
 
         install_fault_plan(chaos_30)
-        chaotic = _pipeline().link_forums(known, unknown)
+        for forum in (known, unknown):
+            save_forum(forum, tmp_path / f"{forum.name}.jsonl")
+        chaotic = _pipeline().link_forums(
+            load_forum(tmp_path / f"{known.name}.jsonl"),
+            load_forum(tmp_path / f"{unknown.name}.jsonl"))
 
         assert chaos_30.injected > 0, \
             "the chaos run never actually saw a fault"
@@ -58,33 +65,6 @@ class TestChaosPipeline:
         chaotic = _pipeline().link_documents(known, unknown)
 
         assert chaotic == clean
-
-    def test_explicit_policy_honored(self, reddit_alter_egos,
-                                     chaos_30):
-        pipeline = LinkingPipeline(
-            PipelineConfig(words_per_alias=600, threshold=0.0),
-            retry_policy=RetryPolicy(max_retries=12, base_delay=0.0,
-                                     seed=chaos_30.seed))
-        result = pipeline.link_documents(
-            reddit_alter_egos.originals,
-            reddit_alter_egos.alter_egos[:3])
-        assert len(result.matches) == 3
-
-    def test_no_retries_exhausts_under_heavy_faults(self,
-                                                    reddit_alter_egos):
-        previous = install_fault_plan(
-            FaultPlan(seed=4, transient_rate=0.99))
-        try:
-            pipeline = LinkingPipeline(
-                PipelineConfig(words_per_alias=600, threshold=0.0),
-                retry_policy=RetryPolicy(max_retries=1,
-                                         base_delay=0.0))
-            with pytest.raises(RetryExhaustedError):
-                pipeline.link_documents(
-                    reddit_alter_egos.originals,
-                    reddit_alter_egos.alter_egos[:2])
-        finally:
-            install_fault_plan(previous)
 
     def test_resume_without_checkpoint_rejected(self,
                                                 reddit_alter_egos):

@@ -1,5 +1,6 @@
-"""Deadline budgets, circuit breakers, degraded-mode linking."""
+"""Deadline budgets and degraded-mode linking."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from repro.core.batch import BatchedLinker
 from repro.core.linker import AliasLinker, Match
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.obs.metrics import get_registry
-from repro.resilience.degrade import CircuitBreaker, DeadlineBudget
+from repro.resilience.degrade import DeadlineBudget
 
 
 class ManualClock:
@@ -80,72 +81,6 @@ class TestDeadlineBudget:
             DeadlineBudget(**kwargs)
 
 
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.consecutive_failures == 1
-
-    def test_short_circuits_counted(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-        before = _metric("circuit_breaker_short_circuits_total")
-        assert not breaker.allow()
-        assert not breaker.allow()
-        assert _metric("circuit_breaker_short_circuits_total") \
-            == before + 2
-
-    def test_half_open_recovery(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 recovery_time=5.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(6.0)
-        assert breaker.allow()  # the half-open trial call
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(failure_threshold=3,
-                                 recovery_time=5.0, clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(6.0)
-        assert breaker.allow()
-        breaker.record_failure()  # one half-open failure re-trips
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_reset(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == "closed" and breaker.allow()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"failure_threshold": 0}, {"recovery_time": 0},
-        {"recovery_time": -1},
-    ])
-    def test_invalid_configuration_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(**kwargs)
-
-
 class TestMatchSerialization:
     def test_full_fidelity_match_has_no_degraded_keys(self):
         match = Match(unknown_id="u", candidate_id="c", score=0.5,
@@ -185,12 +120,18 @@ class TestDegradedLinking:
         assert _result_json(plain) == _result_json(with_kwarg)
 
     def test_generous_budget_is_byte_identical(self, corpus):
+        """A budget that never runs out changes nothing — also for an
+        unknown without an activity profile: the missing profile is a
+        property of the input, not something the budget cut."""
         known, unknowns = corpus
-        plain = AliasLinker(threshold=0.0).fit(known).link(unknowns)
-        rich = AliasLinker(threshold=0.0).fit(known).link(
-            unknowns, budget=DeadlineBudget(600_000))
-        assert _result_json(plain) == _result_json(rich)
-        assert rich.degraded() == []
+        activity_less = list(unknowns)
+        activity_less[1] = dataclasses.replace(unknowns[1], activity=None)
+        for batch in (unknowns, activity_less):
+            plain = AliasLinker(threshold=0.0).fit(known).link(batch)
+            rich = AliasLinker(threshold=0.0).fit(known).link(
+                batch, budget=DeadlineBudget(600_000))
+            assert _result_json(plain) == _result_json(rich)
+            assert rich.degraded() == []
 
     def test_expired_before_linking_quarantines(self, corpus):
         known, unknowns = corpus
@@ -270,36 +211,24 @@ class TestDegradedLinking:
             AliasLinker(threshold=0.0).fit(known).link(
                 unknowns, budget=budget)
 
-    def test_breaker_routes_around_failing_stage2(self, corpus):
+    def test_strict_budget_raises_after_stage1(self, corpus):
+        """Expiry between the stages raises at the restage: the
+        per-unknown error isolation must not swallow it."""
         known, unknowns = corpus
-        breaker = CircuitBreaker(failure_threshold=2)
-        linker = AliasLinker(threshold=0.0,
-                             breaker=breaker).fit(known)
-        calls = {"n": 0}
+        clock = ManualClock()
+        budget = DeadlineBudget(10, degraded_ok=False, clock=clock)
+        linker = AliasLinker(threshold=0.0).fit(known)
+        inner = linker._reduce_isolated
 
-        def failing_rescore(unknown, candidates, use_activity=None):
-            calls["n"] += 1
-            raise RuntimeError("stage 2 is down")
+        def expire_after_stage1(pending, skipped, store):
+            out = inner(pending, skipped, store)
+            clock.advance(1.0)
+            return out
 
-        linker._rescore = failing_rescore
-        result = linker.link(unknowns)
-        # The stage was only paid for until the breaker tripped.
-        assert calls["n"] == 2
-        assert breaker.state == "open"
-        assert len(result.skipped) == 2
-        degraded = result.degraded()
-        assert len(degraded) == len(unknowns) - 2
-        assert all(m.degraded_reasons == ("stage2_circuit_open",)
-                   for m in degraded)
-
-    def test_breaker_closed_changes_nothing(self, corpus):
-        known, unknowns = corpus
-        plain = AliasLinker(threshold=0.0).fit(known).link(unknowns)
-        guarded = AliasLinker(
-            threshold=0.0,
-            breaker=CircuitBreaker(failure_threshold=5),
-        ).fit(known).link(unknowns)
-        assert _result_json(plain) == _result_json(guarded)
+        linker._reduce_isolated = expire_after_stage1
+        with pytest.raises(DeadlineExceededError) as exc:
+            linker.link(unknowns, budget=budget)
+        assert exc.value.stage == "restage"
 
 
 class TestBatchedDegradedLinking:
@@ -360,6 +289,24 @@ class TestBatchedDegradedLinking:
             BatchedLinker(batch_size=20, k=5,
                           threshold=0.0).fit(known).link(
                 unknowns, budget=budget)
+
+    def test_strict_budget_raises_after_stage1(self, corpus):
+        known, unknowns = corpus
+        clock = ManualClock()
+        budget = DeadlineBudget(10, degraded_ok=False, clock=clock)
+        linker = BatchedLinker(batch_size=20, k=5,
+                               threshold=0.0).fit(known)
+        inner = linker._reduce_isolated
+
+        def expire_after_stage1(pending, skipped, store):
+            out = inner(pending, skipped, store)
+            clock.advance(1.0)
+            return out
+
+        linker._reduce_isolated = expire_after_stage1
+        with pytest.raises(DeadlineExceededError) as exc:
+            linker.link(unknowns, budget=budget)
+        assert exc.value.stage == "restage"
 
 
 class TestEpisodeDegradedAccounting:

@@ -112,11 +112,14 @@ class TestRoundTrip:
 def _write_legacy_snapshot(linker, path):
     """Write *linker* the way older builds did with the inverted-index
     stage 1: two shards of posting sections plus ``config["stage1"]``.
+
+    A plain write: the file is the test's input, so the filesystem
+    faults of a chaos run must not hit it (the loads still see them).
     """
     import numpy as np
 
     from repro.resilience.snapshot import _collect_state, \
-        _encode_snapshot, _write_atomic
+        _encode_snapshot
 
     algo, config, sections = _collect_state(linker)
     config["stage1"] = "invindex"
@@ -139,7 +142,7 @@ def _write_legacy_snapshot(linker, path):
              shard.indptr.astype(np.int64)),
             (f"invindex.shard{i}.maxw", "ndarray", maxw),
         ])
-    _write_atomic(path, _encode_snapshot(algo, config, sections))
+    path.write_bytes(_encode_snapshot(algo, config, sections))
 
 
 class TestInvindexSnapshot:
