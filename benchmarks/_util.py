@@ -12,11 +12,9 @@ share one code path instead of each bench hand-rolling a stopwatch.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, \
-    Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.obs.spans import Span, timer
 
@@ -70,43 +68,3 @@ def table(headers: Sequence[str],
 def pct(value: float) -> str:
     """Format a fraction as a percentage string."""
     return f"{value * 100:.1f}%"
-
-
-def update_trajectory(name: str, rows: Sequence[Mapping[str, Any]],
-                      key_fields: Sequence[str],
-                      extra: Optional[Mapping[str, Any]] = None,
-                      ) -> Tuple[Path, Dict[str, Any]]:
-    """Merge *rows* into ``results/<name>.json`` keyed by *key_fields*.
-
-    Benchmark result files used to be snapshots that every run
-    overwrote; this keeps them a *trajectory*: rows from earlier runs
-    at other corpus sizes survive, and a re-run at the same key
-    replaces only its own row.  ``darklight bench-diff`` matches rows
-    on the same key, so the file doubles as the regression baseline.
-    """
-    path = RESULTS_DIR / f"{name}.json"
-    document: Dict[str, Any] = {}
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(loaded, dict):
-                document = loaded
-        except json.JSONDecodeError:
-            document = {}
-
-    def row_key(row: Mapping[str, Any]) -> Tuple[Any, ...]:
-        return tuple(row.get(field) for field in key_fields)
-
-    fresh_keys = {row_key(row) for row in rows}
-    kept = [row for row in document.get("sizes") or ()
-            if isinstance(row, Mapping) and row_key(row) not in fresh_keys]
-    merged = kept + [dict(row) for row in rows]
-    merged.sort(key=lambda row: tuple(
-        (value is None, value) for value in row_key(row)))
-    if extra:
-        document.update(dict(extra))
-    document["sizes"] = merged
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, default=str) + "\n",
-                    encoding="utf-8")
-    return path, document

@@ -26,8 +26,8 @@ Six subcommands cover the end-to-end workflow of the paper:
 * ``stats`` — pretty-print a ``--trace`` JSON file (per-stage totals,
   slowest spans, metric table with p50/p95/p99); ``--compare OTHER``
   diffs two trace files per stage instead;
-* ``bench-diff`` — compare two benchmark result JSONs metric by
-  metric and exit nonzero on regressions beyond ``--threshold``.
+* ``bench-diff`` — compare two end-to-end benchmark runs and exit
+  nonzero on a changed count or a timing beyond ``--threshold``.
 
 Global telemetry flags (before the subcommand): ``--trace FILE.json``
 records every pipeline span plus a metrics snapshot to *FILE*;
@@ -404,7 +404,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _load_bench_results(path: str) -> dict:
-    """Load one benchmark results JSON (e.g. BENCH_linking.json)."""
+    """Load one ``benchmarks/e2e/run.py --out`` results JSON."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -427,7 +427,8 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
     else:
         print(f"bench diff: {args.old} -> {args.new}")
         print(render_diff(result))
-    if result["regressions"] and not args.warn_only:
+    if result["mismatches"] or (result["regressions"]
+                                and not args.warn_only):
         return 1
     return 0
 
@@ -644,18 +645,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     bdiff = sub.add_parser(
         "bench-diff",
-        help="compare two benchmark result JSONs; exit 1 on "
-             "regressions beyond the threshold")
-    bdiff.add_argument("old", help="baseline results JSON "
-                                   "(e.g. committed BENCH_linking.json)")
-    bdiff.add_argument("new", help="freshly produced results JSON")
+        help="compare two benchmarks/e2e/run.py --out JSONs; exit 1 "
+             "on a changed count or a timing beyond the threshold")
+    bdiff.add_argument("old", help="baseline run JSON (e.g. committed "
+                                   "benchmarks/results/e2e_smoke.json)")
+    bdiff.add_argument("new", help="freshly produced run JSON")
     bdiff.add_argument("--threshold", type=float,
                        default=DEFAULT_THRESHOLD, metavar="FRACTION",
                        help="relative worsening tolerated per metric "
                             "(default 0.20 = 20%%)")
     bdiff.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0 "
-                            "(PR-gate mode)")
+                       help="exit 0 on timing regressions "
+                            "(PR-gate mode); counts still gate")
     bdiff.add_argument("--json", action="store_true",
                        help="print the full diff document as JSON")
     bdiff.set_defaults(func=_cmd_bench_diff)

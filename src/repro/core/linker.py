@@ -566,33 +566,6 @@ class AliasLinker:
         return [(doc.doc_id, float(score))
                 for doc, score in zip(candidates, scores)]
 
-    def rescore_batch(self, pairs: Sequence[Tuple[AliasDocument,
-                                                  Sequence[AliasDocument]]],
-                      ) -> List[List[Tuple[str, float]]]:
-        """Vectorized restage of many ``(unknown, candidates)`` pairs.
-
-        Semantically ``[self.rescore(u, c) for u, c in pairs]`` — every
-        pair keeps its own candidate-set fit, which is what makes the
-        second stage precise — but the per-pair cosine products are
-        folded into one block-diagonal sparse matmul, so the scores are
-        bit-identical while the Python/BLAS dispatch overhead is paid
-        once per batch instead of once per unknown.  Unlike
-        :meth:`link`'s internal chunking, errors propagate: callers
-        own their pairs.
-        """
-        normalized = [(unknown, list(candidates))
-                      for unknown, candidates in pairs]
-        if not normalized:
-            return []
-        blocks = [self._stage2_vectors(unknown, candidates)
-                  for unknown, candidates in normalized]
-        rows = self._cosine_blocks(blocks)
-        return [
-            [(doc.doc_id, float(score))
-             for doc, score in zip(candidates, pair_scores)]
-            for (_, candidates), pair_scores in zip(normalized, rows)
-        ]
-
     def _warm(self, unknowns: Iterable[AliasDocument]) -> None:
         """Intern every unknown's profiles in submission order.
 

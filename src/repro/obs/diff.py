@@ -1,12 +1,8 @@
 """Benchmark and trace regression diffing.
 
-``BENCH_linking.json`` used to be a snapshot that every run
-overwrote; this module is what turns it into an *enforced trajectory*:
-
-* :func:`diff_benchmarks` — compare two benchmark result documents
-  row-by-row (rows matched on their ``n_known``/``n_unknown``/
-  ``workers`` key) and flag per-metric regressions beyond a relative
-  threshold;
+* :func:`diff_benchmarks` — compare two ``benchmarks/e2e/run.py
+  --out`` documents workload by workload, each metric the median
+  across the document's sets;
 * :func:`diff_traces` — compare two ``--trace`` files per stage
   (aggregate wall-ms by span name), the engine behind
   ``darklight stats --compare``;
@@ -14,9 +10,10 @@ overwrote; this module is what turns it into an *enforced trajectory*:
 
 Metric direction is inferred from the name: ``*_s``/``*_ms``/
 ``*_kb``/``*_mb``/``*_bytes`` are lower-is-better, ``*_speedup`` /
-``*_per_s`` / ``*_throughput`` are higher-is-better; anything else
-(counts, booleans, ids) is compared but never gated.  A regression is
-a worsening of more than ``threshold`` relative to the old value
+``*_per_s`` / ``*_throughput`` are higher-is-better; integer metrics
+are deterministic counts that must not change; anything else
+(fractions) is compared but never gated.  A regression is a
+worsening of more than ``threshold`` relative to the old value
 (default 20%, the CI gate), ignoring metrics whose old value sits
 below ``min_value`` — sub-millisecond timings are scheduler noise,
 not signal.
@@ -24,9 +21,10 @@ not signal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import statistics
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.obs import spans as _spans
 
 __all__ = [
@@ -66,7 +64,8 @@ def diff_metrics(old: Mapping[str, Any], new: Mapping[str, Any],
     Returns one entry per shared numeric metric, sorted by name:
     ``{"metric", "old", "new", "delta", "ratio", "direction",
     "regressed"}``.  ``ratio`` is ``new / old`` (``None`` when the old
-    value is ~0).
+    value is ~0).  A metric that is an integer on both sides is a
+    count: its direction is ``"equal"`` and any change regresses it.
     """
     if threshold < 0:
         raise ConfigurationError(
@@ -78,11 +77,12 @@ def diff_metrics(old: Mapping[str, Any], new: Mapping[str, Any],
                 or not isinstance(old_value, (int, float)) \
                 or not isinstance(new_value, (int, float)):
             continue
-        direction = metric_direction(name)
+        counted = isinstance(old_value, int) and isinstance(new_value, int)
+        direction = "equal" if counted else metric_direction(name)
         ratio = (new_value / old_value) if abs(old_value) > 1e-12 \
             else None
-        regressed = False
-        if direction is not None and ratio is not None \
+        regressed = counted and old_value != new_value
+        if not counted and direction is not None and ratio is not None \
                 and abs(old_value) >= min_value:
             if direction == "lower":
                 regressed = ratio > 1.0 + threshold
@@ -100,57 +100,73 @@ def diff_metrics(old: Mapping[str, Any], new: Mapping[str, Any],
     return entries
 
 
-def _bench_rows(document: Mapping[str, Any],
-                ) -> Dict[Tuple[Any, ...], Mapping[str, Any]]:
-    """Index a benchmark document's ``sizes`` rows by corpus key."""
-    rows = document.get("sizes") or ()
-    indexed: Dict[Tuple[Any, ...], Mapping[str, Any]] = {}
-    for row in rows:
-        if not isinstance(row, Mapping):
-            continue
-        key = (row.get("n_known"), row.get("n_unknown"),
-               row.get("workers"))
-        indexed[key] = row
-    return indexed
+def _workload_rows(document: Mapping[str, Any], side: str,
+                   ) -> Dict[str, Dict[str, Any]]:
+    """Per-workload metrics of one ``benchmarks/e2e/run.py --out``
+    document, each the median across its sets (``median_low`` for
+    integers, so counts stay counts)."""
+    runs = document.get("runs")
+    results = [r for rs in runs for r in rs] if isinstance(runs, list) \
+        and all(isinstance(rs, list) for rs in runs) else []
+    if not results or "seed" not in document or "smoke" not in document \
+            or not all(isinstance(r, Mapping)
+                       and isinstance(r.get("workload"), str)
+                       and isinstance(r.get("metrics"), Mapping)
+                       for r in results):
+        raise DatasetError(f"{side} is not end-to-end benchmark output "
+                           f"(benchmarks/e2e/run.py --out)")
+    sets: Dict[str, List[Mapping[str, Any]]] = {}
+    for result in results:
+        sets.setdefault(result["workload"], []).append(result["metrics"])
+    rows: Dict[str, Dict[str, Any]] = {}
+    for workload, metrics in sets.items():
+        rows[workload] = row = {}
+        for name in metrics[0]:
+            values = [m[name] for m in metrics if name in m]
+            if all(isinstance(v, int) for v in values):
+                row[name] = statistics.median_low(values)
+            elif all(isinstance(v, (int, float)) for v in values):
+                row[name] = statistics.median(values)
+    return rows
 
 
 def diff_benchmarks(old: Mapping[str, Any], new: Mapping[str, Any],
                     threshold: float = DEFAULT_THRESHOLD,
                     min_value: float = 1e-3) -> Dict[str, Any]:
-    """Compare two benchmark result documents.
+    """Compare two end-to-end benchmark documents workload by workload.
 
-    Rows are matched on ``(n_known, n_unknown, workers)``; rows present
-    on only one side are reported (``only_old`` / ``only_new``) but do
-    not gate.  The returned document carries every per-metric entry
-    plus the flat ``regressions`` list the CLI prints and exits on.
+    Both must come from ``benchmarks/e2e/run.py --out`` with the same
+    ``seed`` and ``smoke``, else :class:`DatasetError`.  Workloads on
+    only one side are reported (``only_old`` / ``only_new``) but do
+    not gate.  ``regressions`` lists the timings past *threshold*;
+    ``mismatches`` lists the counts that changed.
     """
-    old_rows = _bench_rows(old)
-    new_rows = _bench_rows(new)
-    shared = sorted(set(old_rows) & set(new_rows),
-                    key=lambda k: tuple(str(p) for p in k))
+    old_rows = _workload_rows(old, "OLD")
+    new_rows = _workload_rows(new, "NEW")
+    for field in ("seed", "smoke"):
+        if old[field] != new[field]:
+            raise DatasetError(
+                f"cannot compare runs with different {field}: "
+                f"{old[field]!r} vs {new[field]!r}")
     rows: List[Dict[str, Any]] = []
     regressions: List[Dict[str, Any]] = []
-    for key in shared:
-        entries = [e for e in diff_metrics(old_rows[key], new_rows[key],
-                                           threshold=threshold,
-                                           min_value=min_value)
-                   if e["metric"] not in ("n_known", "n_unknown",
-                                          "workers")]
-        row_regressions = [e for e in entries if e["regressed"]]
-        label = (f"n_known={key[0]} n_unknown={key[1]} "
-                 f"workers={key[2]}")
-        rows.append({"key": label, "entries": entries,
-                     "regressions": row_regressions})
-        for entry in row_regressions:
-            regressions.append({**entry, "key": label})
+    mismatches: List[Dict[str, Any]] = []
+    for workload in (w for w in old_rows if w in new_rows):
+        entries = diff_metrics(old_rows[workload], new_rows[workload],
+                               threshold=threshold, min_value=min_value)
+        rows.append({"key": workload, "entries": entries})
+        for entry in entries:
+            if entry["regressed"]:
+                gated = mismatches if entry["direction"] == "equal" \
+                    else regressions
+                gated.append({**entry, "key": workload})
     return {
         "threshold": threshold,
         "rows": rows,
         "regressions": regressions,
-        "only_old": [str(k) for k in sorted(set(old_rows) - set(new_rows),
-                                            key=str)],
-        "only_new": [str(k) for k in sorted(set(new_rows) - set(old_rows),
-                                            key=str)],
+        "mismatches": mismatches,
+        "only_old": [w for w in old_rows if w not in new_rows],
+        "only_new": [w for w in new_rows if w not in old_rows],
     }
 
 
@@ -164,12 +180,15 @@ def render_diff(result: Mapping[str, Any]) -> str:
             ratio = entry["ratio"]
             ratio_text = f"{ratio:>7.3f}x" if ratio is not None \
                 else "     n/a"
-            flag = "  REGRESSION" if entry["regressed"] else ""
-            gate = {"lower": "↓", "higher": "↑"}.get(
+            flag = ""
+            if entry["regressed"]:
+                flag = "  MISMATCH" if entry["direction"] == "equal" \
+                    else "  REGRESSION"
+            gate = {"lower": "↓", "higher": "↑", "equal": "="}.get(
                 entry["direction"] or "", " ")
             lines.append(
-                f"  {entry['metric']:<24} {gate} "
-                f"{entry['old']:>12.4f} -> {entry['new']:>12.4f} "
+                f"  {entry['metric']:<36} {gate} "
+                f"{entry['old']:>12.6g} -> {entry['new']:>12.6g} "
                 f"{ratio_text}{flag}")
         lines.append("")
     for side, label in (("only_old", "only in OLD"),
@@ -179,7 +198,8 @@ def render_diff(result: Mapping[str, Any]) -> str:
     n_regressions = len(result.get("regressions", ()))
     lines.append(
         f"{n_regressions} regression(s) beyond "
-        f"{threshold:.0%} threshold")
+        f"{threshold:.0%} threshold, "
+        f"{len(result.get('mismatches', ()))} count mismatch(es)")
     return "\n".join(lines)
 
 

@@ -64,7 +64,6 @@ TIMING_FIELDS: Tuple[str, ...] = ("created_at", "elapsed_s")
 ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_WORKERS",
     "REPRO_BLOCK_SIZE",
-    "REPRO_CACHE",
     "REPRO_FAULT_SEED",
     "REPRO_FAULT_RATE",
     "REPRO_FAULT_KINDS",
@@ -73,8 +72,6 @@ ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_LOG_FORMAT",
     "REPRO_PROFILE",
     "REPRO_SCALE",
-    "REPRO_BENCH_SIZES",
-    "REPRO_BENCH_WORKERS",
 )
 
 

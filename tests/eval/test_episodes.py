@@ -188,6 +188,8 @@ class TestRunner:
         assert [o.episode_id for o in stage1.outcomes] \
             == [o.episode_id for o in full.outcomes]
         assert stage1.n_degraded == 0 and stage1.n_skipped == 0
+        assert stage1.cells["dark-dark/w200"]["n_full"] \
+            == len(synth_episodes)
 
     def test_outcome_serialization_is_conditional(self):
         clean = EpisodeOutcome(episode_id="e", drift="dark-dark",

@@ -76,14 +76,18 @@ class TestStage1Equivalence:
         assert _run(reddit_alter_egos, block_size=7,
                     workers=2).to_dict() == baseline
 
-    def test_rescore_batch_matches_rescore(self, reddit_alter_egos):
+    def test_link_scores_match_rescore(self, reddit_alter_egos):
+        # link()'s block-diagonal restage scores every pair exactly as
+        # the single-pair reference does.
         linker = AliasLinker(threshold=0.4)
         linker.fit(reddit_alter_egos.originals)
+        result = linker.link(reddit_alter_egos.alter_egos)
         reduced = linker.reducer.reduce(reddit_alter_egos.alter_egos)
-        pairs = [(c.unknown, c.documents) for c in reduced]
-        batched = linker.rescore_batch(pairs)
-        for (unknown, docs), scored in zip(pairs, batched):
-            assert scored == linker.rescore(unknown, docs)
+        assert len(result.candidate_scores) == len(reduced)
+        for candidates in reduced:
+            unknown = candidates.unknown
+            assert result.candidate_scores[unknown.doc_id] == \
+                linker.rescore(unknown, candidates.documents)
 
 
 class TestPersistentPool:
