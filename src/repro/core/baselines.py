@@ -29,7 +29,8 @@ from scipy import sparse
 
 from repro.core import ngrams
 from repro.core.documents import AliasDocument
-from repro.core.features import DocumentEncoder, FeatureExtractor
+from repro.core.features import (DocumentEncoder, FeatureExtractor,
+                                 counts_matrix, fit_counts_matrix)
 from repro.core.linker import LinkResult, Match
 from repro.core.similarity import cosine_similarity
 from repro.core.tfidf import l2_normalize_rows
@@ -67,36 +68,21 @@ class StandardBaseline:
             raise ConfigurationError("known corpus must not be empty")
         self._known = list(known)
         profiles = [_space_free_profile(d) for d in self._known]
-        corpus = ngrams.merge_counts(profiles)
+        # Uncapped: no corpus has more distinct 4-grams than profile
+        # entries, so this budget keeps them all.
         budget = (self.max_features if self.max_features is not None
-                  else corpus.codes.size)
-        self._selected = ngrams.select_top(corpus, budget)
-        self._matrix = self._vectorize(profiles)
+                  else sum(p.codes.size for p in profiles))
+        self._selected, counts = fit_counts_matrix(profiles, budget)
+        self._matrix = l2_normalize_rows(counts, copy=False)
         return self
-
-    def _vectorize(self, profiles: Sequence[ngrams.CodeCounts],
-                   ) -> sparse.csr_matrix:
-        indptr = [0]
-        indices: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        for profile in profiles:
-            cols, counts = ngrams.project_counts(profile, self._selected)
-            indices.append(cols)
-            data.append(counts.astype(np.float64))
-            indptr.append(indptr[-1] + len(cols))
-        matrix = sparse.csr_matrix(
-            (np.concatenate(data) if data else np.empty(0),
-             np.concatenate(indices) if indices else np.empty(0),
-             np.asarray(indptr, dtype=np.int64)),
-            shape=(len(profiles), len(self._selected)))
-        return l2_normalize_rows(matrix)
 
     def link(self, unknowns: Sequence[AliasDocument]) -> LinkResult:
         """Best-candidate matches by raw 4-gram cosine."""
         if self._matrix is None:
             raise NotFittedError("StandardBaseline.fit not called")
         profiles = [_space_free_profile(d) for d in unknowns]
-        unknown_matrix = self._vectorize(profiles)
+        unknown_matrix = l2_normalize_rows(
+            counts_matrix(profiles, self._selected), copy=False)
         scores = cosine_similarity(unknown_matrix, self._matrix)
         matches: List[Match] = []
         candidate_scores: Dict[str, List[Tuple[str, float]]] = {}

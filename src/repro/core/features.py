@@ -150,9 +150,10 @@ class DocumentEncoder:
         self.cache.drop(doc_ids)
 
 
-def _counts_matrix(profiles: Sequence[ngrams.CodeCounts],
-                   selected: np.ndarray) -> sparse.csr_matrix:
-    """Stack projected per-document counts into a CSR matrix."""
+def counts_matrix(profiles: Sequence[ngrams.CodeCounts],
+                  selected: np.ndarray) -> sparse.csr_matrix:
+    """Stack per-document counts projected onto *selected* into a CSR
+    matrix (for documents the fit did not see)."""
     indptr = [0]
     indices: List[np.ndarray] = []
     data: List[np.ndarray] = []
@@ -170,6 +171,19 @@ def _counts_matrix(profiles: Sequence[ngrams.CodeCounts],
     return sparse.csr_matrix(
         (data_arr, indices_arr, np.asarray(indptr, dtype=np.int64)),
         shape=(len(profiles), len(selected)))
+
+
+def fit_counts_matrix(profiles: Sequence[ngrams.CodeCounts], budget: int,
+                      ) -> Tuple[np.ndarray, sparse.csr_matrix]:
+    """Select the top-*budget* codes of *profiles* and return them with
+    the profiles' count matrix over them (see
+    :func:`repro.core.ngrams.select_and_count`)."""
+    selected, indptr, indices, counts = ngrams.select_and_count(
+        profiles, budget)
+    matrix = sparse.csr_matrix(
+        (counts.astype(np.float64), indices, indptr),
+        shape=(len(profiles), len(selected)))
+    return selected, matrix
 
 
 class FeatureExtractor:
@@ -220,32 +234,35 @@ class FeatureExtractor:
         documents associated with the set of known users Z, we rank the
         n-grams by frequency, and then we select the top N".
         """
+        self._fit(documents)
+        return self
+
+    def _fit(self, documents: Sequence[AliasDocument],
+             ) -> sparse.csr_matrix:
+        """:meth:`fit`, returning the documents' text count matrix."""
         if not documents:
             raise ConfigurationError("cannot fit on an empty corpus")
         with span("features.fit", n_documents=len(documents)):
-            word_profiles = [self.encoder.word_profile(d)
-                             for d in documents]
-            char_profiles = [self.encoder.char_profile(d)
-                             for d in documents]
-            word_corpus = ngrams.merge_counts(word_profiles)
-            char_corpus = ngrams.merge_counts(char_profiles)
-            self._selected_words = ngrams.select_top(
-                word_corpus, self.budget.word_ngrams)
-            self._selected_chars = ngrams.select_top(
-                char_corpus, self.budget.char_ngrams)
-            counts = self._text_counts(documents)
+            self._selected_words, word_matrix = fit_counts_matrix(
+                [self.encoder.word_profile(d) for d in documents],
+                self.budget.word_ngrams)
+            self._selected_chars, char_matrix = fit_counts_matrix(
+                [self.encoder.char_profile(d) for d in documents],
+                self.budget.char_ngrams)
+            counts = sparse.csr_matrix(
+                sparse.hstack([word_matrix, char_matrix], format="csr"))
             self._tfidf = TfidfModel().fit(counts)
         _FITS.inc()
         _VOCAB_SIZE.set(self._selected_words.size
                         + self._selected_chars.size)
-        return self
+        return counts
 
     def _text_counts(self, documents: Sequence[AliasDocument],
                      ) -> sparse.csr_matrix:
         word_profiles = [self.encoder.word_profile(d) for d in documents]
         char_profiles = [self.encoder.char_profile(d) for d in documents]
-        word_matrix = _counts_matrix(word_profiles, self._selected_words)
-        char_matrix = _counts_matrix(char_profiles, self._selected_chars)
+        word_matrix = counts_matrix(word_profiles, self._selected_words)
+        char_matrix = counts_matrix(char_profiles, self._selected_chars)
         return sparse.csr_matrix(
             sparse.hstack([word_matrix, char_matrix], format="csr"))
 
@@ -254,13 +271,22 @@ class FeatureExtractor:
         """Vectorize documents into the fitted feature space."""
         if not self.is_fitted:
             raise NotFittedError("FeatureExtractor.fit has not been called")
+        return self._vectorize(documents)
+
+    def _vectorize(self, documents: Sequence[AliasDocument],
+                   counts: Optional[sparse.csr_matrix] = None,
+                   ) -> sparse.csr_matrix:
+        """Vectorize *documents*, Tf-Idf weighting their text count
+        matrix *counts* in place (projected here when omitted)."""
         _TRANSFORMED.inc(len(documents))
         with span("features.transform", n_documents=len(documents)):
-            return self._transform_inner(documents)
+            if counts is None:
+                counts = self._text_counts(documents)
+            return self._transform_inner(documents, counts)
 
     def _transform_inner(self, documents: Sequence[AliasDocument],
-                         ) -> sparse.csr_matrix:
-        text = self._tfidf.transform(self._text_counts(documents))
+                         counts: sparse.csr_matrix) -> sparse.csr_matrix:
+        text = self._tfidf.transform(counts, copy=False)
         blocks: List[sparse.spmatrix] = [text * self.weights.text]
         cache = self.encoder.cache
         if self.weights.frequencies > 0:
@@ -288,8 +314,10 @@ class FeatureExtractor:
 
     def fit_transform(self, documents: Sequence[AliasDocument],
                       ) -> sparse.csr_matrix:
-        """Convenience: :meth:`fit` then :meth:`transform`."""
-        return self.fit(documents).transform(documents)
+        """:meth:`fit` then :meth:`transform` of the same documents,
+        weighting the count matrix the fit built instead of projecting
+        the documents again."""
+        return self._vectorize(documents, self._fit(documents))
 
     def vocabulary_sizes(self) -> Dict[str, int]:
         """Actual number of selected features per text family."""

@@ -507,8 +507,7 @@ class AliasLinker:
             use_structure=self.use_structure,
             encoder=self.encoder,
         )
-        extractor.fit(list(candidates))
-        candidate_matrix = extractor.transform(list(candidates))
+        candidate_matrix = extractor.fit_transform(list(candidates))
         unknown_matrix = extractor.transform([unknown])
         return candidate_matrix, unknown_matrix
 

@@ -14,8 +14,8 @@ packs every n-gram into a single ``uint64`` code:
 Per-document counting then reduces to a vectorized sliding-window
 encode followed by ``numpy.unique`` — about two orders of magnitude
 faster than hashing strings — and per-corpus aggregation, top-N
-selection and sparse-matrix construction all operate on sorted integer
-arrays.
+selection and sparse-matrix construction all come from one sort of the
+corpus's integer codes.
 
 Codes are unambiguous: equal codes always mean the same n-gram, and the
 original gram can be decoded back for inspection.
@@ -154,54 +154,61 @@ class CodeCounts:
         return cls(codes=unique, counts=counts)
 
 
-def merge_counts(profiles: Iterable[CodeCounts]) -> CodeCounts:
-    """Aggregate several documents' profiles into corpus totals."""
-    code_parts: List[np.ndarray] = []
-    count_parts: List[np.ndarray] = []
-    for profile in profiles:
-        if profile.codes.size:
-            code_parts.append(profile.codes)
-            count_parts.append(profile.counts)
-    if not code_parts:
-        return CodeCounts(np.empty(0, dtype=np.uint64),
-                          np.empty(0, dtype=np.int64))
-    all_codes = np.concatenate(code_parts)
-    all_counts = np.concatenate(count_parts)
-    order = np.argsort(all_codes, kind="stable")
+def select_and_count(profiles: Sequence[CodeCounts], budget: int,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """Select a corpus's top-*budget* codes and count them per document.
+
+    Returns ``(selected, indptr, indices, counts)``: the selected codes
+    sorted ascending, and the documents-by-selected count matrix in CSR
+    form (row *i* is ``indices[indptr[i]:indptr[i + 1]]`` with
+    ``counts`` alongside).  The *budget* codes with the highest corpus
+    totals are selected, ties broken by code value; all codes are
+    selected when there are at most *budget* of them.
+
+    One sort of every code occurrence in the corpus yields everything:
+    the runs of equal codes give the corpus totals, and scattering each
+    run's selected column (or -1) back through the sort order gives
+    every occurrence its column without a per-document
+    :func:`numpy.searchsorted`.  Profiles are sorted by code, so each
+    row comes out in the order :func:`project_counts` would give it.
+    """
+    if budget < 0:
+        raise ConfigurationError("budget must be >= 0")
+    offsets = np.cumsum([0] + [p.codes.size for p in profiles])
+    if budget == 0 or offsets[-1] == 0:
+        return (np.empty(0, dtype=np.uint64), np.zeros_like(offsets),
+                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
+    all_codes = np.concatenate([p.codes for p in profiles])
+    # Ties in this sort only feed integer sums, so it need not be stable.
+    order = np.argsort(all_codes)
     sorted_codes = all_codes[order]
-    sorted_counts = all_counts[order]
+    del all_codes  # every temporary here is corpus-sized: free early
     boundaries = np.empty(len(sorted_codes), dtype=bool)
     boundaries[0] = True
     np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundaries[1:])
     starts = np.flatnonzero(boundaries)
-    merged_counts = np.add.reduceat(sorted_counts, starts)
-    return CodeCounts(codes=sorted_codes[starts], counts=merged_counts)
-
-
-def document_frequencies(profiles: Iterable[CodeCounts]) -> CodeCounts:
-    """Count in how many documents each code appears (for the Idf)."""
-    binary = (CodeCounts(p.codes, np.ones(len(p.codes), dtype=np.int64))
-              for p in profiles)
-    return merge_counts(binary)
-
-
-def select_top(corpus: CodeCounts, budget: int) -> np.ndarray:
-    """The *budget* most frequent codes, returned sorted by code value.
-
-    Ties are broken by code value so selection is deterministic.  The
-    returned array is sorted ascending so that per-document projection
-    can use :func:`numpy.searchsorted`.
-    """
-    if budget < 0:
-        raise ConfigurationError("budget must be >= 0")
-    if budget == 0 or corpus.codes.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    if corpus.codes.size <= budget:
-        return np.sort(corpus.codes)
-    # argsort on (-count, code): stable sort on code first, then count.
-    order = np.argsort(-corpus.counts, kind="stable")
-    chosen = corpus.codes[order[:budget]]
-    return np.sort(chosen)
+    unique = sorted_codes[starts]
+    del sorted_codes
+    all_counts = np.concatenate([p.counts for p in profiles])
+    if unique.size <= budget:
+        selected = unique
+        column = np.arange(unique.size, dtype=np.int32)
+    else:
+        totals = np.add.reduceat(all_counts[order], starts)
+        # A stable sort on -total over code order breaks ties by code.
+        top = np.sort(np.argsort(-totals, kind="stable")[:budget])
+        selected = unique[top]
+        column = np.full(unique.size, -1, dtype=np.int32)
+        column[top] = np.arange(budget, dtype=np.int32)
+    run_lengths = np.diff(np.append(starts, len(order)))
+    columns = np.empty(len(order), dtype=np.int32)
+    columns[order] = np.repeat(column, run_lengths)
+    del order
+    keep = columns >= 0
+    # The kept occurrences before each document's first one.
+    indptr = np.searchsorted(np.flatnonzero(keep), offsets)
+    return selected, indptr, columns[keep], all_counts[keep]
 
 
 def project_counts(profile: CodeCounts,
@@ -209,7 +216,8 @@ def project_counts(profile: CodeCounts,
     """Project a document profile onto a selected code set.
 
     Returns ``(column_indices, counts)`` for the codes of *profile*
-    present in *selected* (which must be sorted ascending).
+    present in *selected* (which must be sorted ascending).  Documents
+    a fit saw get their rows from :func:`select_and_count` instead.
     """
     if profile.codes.size == 0 or selected.size == 0:
         return (np.empty(0, dtype=np.int64),

@@ -53,17 +53,24 @@ class TfidfModel:
         self._idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
         return self
 
-    def transform(self, counts: sparse.spmatrix) -> sparse.csr_matrix:
-        """Apply Tf-Idf weighting and L2 row normalization."""
+    def transform(self, counts: sparse.spmatrix,
+                  copy: bool = True) -> sparse.csr_matrix:
+        """Apply Tf-Idf weighting and L2 row normalization.
+
+        By default *counts* is copied first; a caller that owns a
+        freshly built float64 CSR matrix passes ``copy=False`` to
+        weight it in place (as :func:`l2_normalize_rows` does).
+        """
         if self._idf is None:
             raise NotFittedError("TfidfModel.fit has not been called")
-        matrix = sparse.csr_matrix(counts, dtype=np.float64, copy=True)
+        matrix = sparse.csr_matrix(counts, dtype=np.float64, copy=copy)
         if matrix.shape[1] != self._idf.shape[0]:
             raise ValueError(
                 f"matrix has {matrix.shape[1]} columns, model was fitted "
                 f"on {self._idf.shape[0]}")
         matrix.data *= self._idf[matrix.indices]
-        # The matrix is already a private copy: normalize it in place.
+        # The matrix is a private copy or owned by the caller: normalize
+        # it in place.
         return l2_normalize_rows(matrix, copy=False)
 
     def fit_transform(self, counts: sparse.spmatrix) -> sparse.csr_matrix:

@@ -115,22 +115,27 @@ class TestMerge:
         return ngrams.CodeCounts(codes, counts)
 
     def test_merge_counts(self):
+        # Corpus totals are the column sums of the fused count matrix.
         a = self._profile({1: 2, 2: 1})
         b = self._profile({2: 3, 5: 1})
-        merged = ngrams.merge_counts([a, b])
-        assert merged.codes.tolist() == [1, 2, 5]
-        assert merged.counts.tolist() == [2, 4, 1]
+        selected, _, indices, counts = ngrams.select_and_count([a, b], 3)
+        assert selected.tolist() == [1, 2, 5]
+        totals = np.bincount(indices, weights=counts, minlength=3)
+        assert totals.tolist() == [2, 4, 1]
 
     def test_merge_empty(self):
-        merged = ngrams.merge_counts([])
-        assert merged.codes.size == 0
+        selected, indptr, indices, _ = ngrams.select_and_count([], 5)
+        assert selected.size == 0
+        assert indices.size == 0
+        assert indptr.tolist() == [0]
 
     def test_document_frequencies_binary(self):
+        # Document frequencies are the column counts of the matrix.
         a = self._profile({1: 10, 2: 1})
         b = self._profile({1: 99})
-        df = ngrams.document_frequencies([a, b])
-        assert dict(zip(df.codes.tolist(), df.counts.tolist())) == \
-            {1: 2, 2: 1}
+        selected, _, indices, _ = ngrams.select_and_count([a, b], 2)
+        df = np.bincount(indices, minlength=selected.size)
+        assert dict(zip(selected.tolist(), df.tolist())) == {1: 2, 2: 1}
 
 
 class TestSelectAndProject:
@@ -140,33 +145,37 @@ class TestSelectAndProject:
                           dtype=np.int64)
         return ngrams.CodeCounts(codes, counts)
 
+    @staticmethod
+    def _select(corpus, budget):
+        return ngrams.select_and_count([corpus], budget)[0]
+
     def test_select_top_keeps_most_frequent(self):
         corpus = self._profile({1: 5, 2: 50, 3: 10})
-        selected = ngrams.select_top(corpus, 2)
+        selected = self._select(corpus, 2)
         assert sorted(selected.tolist()) == [2, 3]
 
     def test_select_top_returns_sorted(self):
         corpus = self._profile({9: 1, 1: 2, 5: 3})
-        selected = ngrams.select_top(corpus, 3)
+        selected = self._select(corpus, 3)
         assert selected.tolist() == sorted(selected.tolist())
 
     def test_select_all_when_budget_large(self):
         corpus = self._profile({1: 1, 2: 2})
-        assert ngrams.select_top(corpus, 100).size == 2
+        assert self._select(corpus, 100).size == 2
 
     def test_select_deterministic_on_ties(self):
         corpus = self._profile({7: 1, 3: 1, 9: 1})
-        a = ngrams.select_top(corpus, 2).tolist()
-        b = ngrams.select_top(corpus, 2).tolist()
-        assert a == b
+        a = self._select(corpus, 2).tolist()
+        b = self._select(corpus, 2).tolist()
+        assert a == b == [3, 7]
 
     def test_select_zero_budget(self):
         corpus = self._profile({1: 1})
-        assert ngrams.select_top(corpus, 0).size == 0
+        assert self._select(corpus, 0).size == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            ngrams.select_top(self._profile({1: 1}), -1)
+            self._select(self._profile({1: 1}), -1)
 
     def test_project_counts(self):
         profile = self._profile({1: 2, 3: 4, 8: 1})

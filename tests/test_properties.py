@@ -127,15 +127,16 @@ class TestNgramProperties:
             profiles.append(ngrams.CodeCounts(
                 np.array([code], dtype=np.uint64),
                 np.array([count], dtype=np.int64)))
-        merged = ngrams.merge_counts(profiles)
-        assert merged.total == sum(c for _, c in pairs)
+        # A budget of 101 selects every code in 0..100.
+        _, _, _, counts = ngrams.select_and_count(profiles, 101)
+        assert int(counts.sum()) == sum(c for _, c in pairs)
 
     @given(st.integers(min_value=0, max_value=50))
     def test_select_top_bounded(self, budget):
         corpus = ngrams.CodeCounts(
             np.arange(20, dtype=np.uint64),
             np.arange(1, 21, dtype=np.int64))
-        selected = ngrams.select_top(corpus, budget)
+        selected, _, _, _ = ngrams.select_and_count([corpus], budget)
         assert selected.size == min(budget, 20)
         assert np.all(np.diff(selected.astype(np.int64)) > 0)
 
