@@ -20,8 +20,7 @@ worlds (see DESIGN.md for the substitution rationale):
   structured logging (``docs/observability.md``);
 * :mod:`repro.resilience` — fault tolerance: retry policies,
   deterministic fault injection, resumable checkpoints, crash-safe
-  index snapshots, deadline-budgeted degraded-mode linking
-  (``docs/robustness.md``);
+  index snapshots (``docs/robustness.md``);
 * :mod:`repro.perf` — performance: compute-once profile caching,
   fork-pool parallel restage, blocked stage-1 scoring
   (``docs/performance.md``).
@@ -64,7 +63,6 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     DatasetError,
-    DeadlineExceededError,
     InsufficientDataError,
     LanguageDetectionError,
     NotFittedError,
@@ -82,7 +80,6 @@ from repro.perf import ParallelExecutor, ProfileCache
 from repro.pipeline import LinkingPipeline, PipelineReport
 from repro.resilience import (
     CheckpointStore,
-    DeadlineBudget,
     FaultPlan,
     RetryPolicy,
     load_index,
@@ -114,8 +111,6 @@ __all__ = [
     "CheckpointStore",
     "ConfigurationError",
     "DatasetError",
-    "DeadlineBudget",
-    "DeadlineExceededError",
     "FaultPlan",
     "InsufficientDataError",
     "LanguageDetectionError",

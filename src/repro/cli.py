@@ -11,9 +11,7 @@ Six subcommands cover the end-to-end workflow of the paper:
   runs crash-safe (see ``docs/robustness.md``),
   ``--workers N``/``--no-cache``/``--block-size`` tune the perf
   subsystem (see ``docs/performance.md``); ``--index SNAP`` links
-  against a prebuilt snapshot instead of refitting, and
-  ``--deadline-ms``/``--degraded-ok`` bound the linking wall-clock
-  (degraded-mode semantics: ``docs/robustness.md``);
+  against a prebuilt snapshot instead of refitting;
 * ``index`` — ``build``/``verify``/``info`` for crash-safe persistent
   index snapshots: fit once, link many times from a
   checksum-verified on-disk image;
@@ -135,20 +133,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_budget(args: argparse.Namespace):
-    """The linking deadline budget from --deadline-ms/--degraded-ok.
-
-    Constructed immediately before the link call so the budget clocks
-    the linking stage, not forum loading and refinement.
-    """
-    if args.deadline_ms is None:
-        return None
-    from repro.resilience.degrade import DeadlineBudget
-
-    return DeadlineBudget(args.deadline_ms,
-                          degraded_ok=args.degraded_ok)
-
-
 def _cmd_link(args: argparse.Namespace) -> int:
     unknown = load_forum(args.unknown)
     if args.index is not None:
@@ -176,8 +160,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
                                     index=str(args.index))
         result = linker.link(unknown_docs,
                              checkpoint=args.checkpoint,
-                             resume=args.resume,
-                             budget=_make_budget(args))
+                             resume=args.resume)
     else:
         threshold = args.threshold if args.threshold is not None \
             else PAPER_THRESHOLD
@@ -195,10 +178,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
         refined_known = len(known_docs)
         result = pipeline.link_documents(known_docs, unknown_docs,
                                          checkpoint=args.checkpoint,
-                                         resume=args.resume,
-                                         budget=_make_budget(args))
+                                         resume=args.resume)
     accepted = result.accepted()
-    degraded = result.degraded()
     if args.json:
         document = result.to_dict()
         document["report"] = {
@@ -206,8 +187,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
             "refined_unknown": pipeline.report.refined_unknown,
             "threshold": threshold,
         }
-        if degraded:
-            document["report"]["degraded"] = len(degraded)
         print(json.dumps(document, indent=2))
         return 0
     print(f"known aliases after refinement:   {refined_known}")
@@ -215,14 +194,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
           f"{pipeline.report.refined_unknown}")
     print(f"pairs above threshold {threshold}: {len(accepted)}")
     for match in sorted(accepted, key=lambda m: -m.score):
-        flag = " [degraded]" if match.degraded else ""
         print(f"  {match.unknown_id} -> {match.candidate_id} "
-              f"(score {match.score:.4f}){flag}")
-    if degraded:
-        print(f"degraded matches: {len(degraded)}")
-        for match in degraded:
-            print(f"  {match.unknown_id} "
-                  f"[{', '.join(match.degraded_reasons)}]")
+              f"(score {match.score:.4f})")
     if result.skipped:
         print(f"skipped unknowns: {len(result.skipped)}")
         for entry in result.skipped:
@@ -334,15 +307,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     args.manifest_config = dict(config.to_dict(),
                                 variant=args.variant,
                                 episode_manifest_sha256=digest)
-    budget_factory = None
-    if args.deadline_ms is not None:
-        from repro.resilience.degrade import DeadlineBudget
-
-        def budget_factory():
-            return DeadlineBudget(args.deadline_ms, degraded_ok=True)
     report = run_episodes(episodes, features=features,
-                          variant=args.variant,
-                          budget_factory=budget_factory)
+                          variant=args.variant)
     if args.manifest_out is not None:
         Path(args.manifest_out).write_bytes(
             manifest_bytes(episodes, config))
@@ -369,7 +335,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                   f"a@3 {metrics['accuracy_at_3']:.3f}  "
                   f"brier {metrics['brier']:.3f}  "
                   f"({metrics['n_episodes']:.0f} episodes, "
-                  f"{metrics['n_degraded']:.0f} degraded, "
                   f"{metrics['n_skipped']:.0f} skipped)")
     if args.write_golden is not None:
         path = args.write_golden or GOLDEN_PATH
@@ -514,15 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="acceptance threshold (default: the "
                            "snapshot's with --index, else the "
                            f"paper's {PAPER_THRESHOLD})")
-    link.add_argument("--deadline-ms", type=float, default=None,
-                      metavar="MS",
-                      help="wall-clock budget for the linking stage; "
-                           "without --degraded-ok an overrun aborts "
-                           "with an error")
-    link.add_argument("--degraded-ok", action="store_true",
-                      help="on deadline overrun, return partial-but-"
-                           "honest results (degraded flags set) "
-                           "instead of failing")
     link.add_argument("--batch-size", type=int, default=None,
                       help="enable the IV-J batched pipeline")
     link.add_argument("--json", action="store_true",
@@ -600,11 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="linker variant: the paper's two-stage "
                           "pipeline, or the reduction stage alone "
                           "(deliberately degraded)")
-    eep.add_argument("--deadline-ms", type=float, default=None,
-                     metavar="MS",
-                     help="per-episode wall-clock budget; overruns "
-                          "are answered degraded and reported "
-                          "honestly per cell")
     eep.add_argument("--out", metavar="REPORT.json", default=None,
                      help="write the full episode report as JSON")
     eep.add_argument("--manifest-out", metavar="FILE.json",

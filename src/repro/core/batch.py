@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import SIZE_BUCKETS, counter, histogram
 from repro.obs.spans import span
-from repro.resilience.degrade import DeadlineBudget
 
 log = get_logger(__name__)
 
@@ -40,8 +39,8 @@ class BatchedLinker(AliasLinker):
 
     Only stage 1 differs (:meth:`_reduce`): no global index is ever
     fitted; each unknown's k candidates come from pooled per-batch
-    top-k rounds.  Validation, checkpointing, deadlines, the restage
-    and quarantine are :class:`AliasLinker`'s.
+    top-k rounds.  Validation, checkpointing, the restage and
+    quarantine are :class:`AliasLinker`'s.
 
     Parameters
     ----------
@@ -98,21 +97,19 @@ class BatchedLinker(AliasLinker):
         return survivors
 
     def _reduce(self, pending: Sequence[AliasDocument],
-                budget: Optional[DeadlineBudget],
                 ) -> List[Candidates]:
         """Stage 1 by pooled per-batch rounds.
 
         Round 1 is shared: every unknown faces the same batches of the
         known set.  Later rounds shrink each unknown's private pool
-        until at most *B* candidates remain (or the deadline passes);
-        the top-k of a reducer fitted on that final pool are the
-        unknown's candidates and stage-1 scores.
+        until at most *B* candidates remain; the top-k of a reducer
+        fitted on that final pool are the unknown's candidates and
+        stage-1 scores.
         """
         pools = self._reduce_pool(self._known, pending)
         reduced: List[Candidates] = []
         for unknown, pool in zip(pending, pools):
-            while len(pool) > self.batch_size \
-                    and not (budget is not None and budget.expired()):
+            while len(pool) > self.batch_size:
                 pool = self._reduce_pool(pool, [unknown])[0]
             reducer = self._make_reducer(min(self.k, len(pool)))
             reduced.extend(reducer.fit(pool).reduce([unknown]))
@@ -125,22 +122,20 @@ class BatchedLinker(AliasLinker):
 
     def link(self, unknowns: Sequence[AliasDocument],
              checkpoint: Optional[Any] = None,
-             resume: bool = False,
-             budget: Optional[DeadlineBudget] = None) -> LinkResult:
+             resume: bool = False) -> LinkResult:
         """Run the batched pipeline for a set of unknown aliases.
 
-        Arguments, quarantine, checkpoint and deadline semantics are
-        those of :meth:`AliasLinker.link`.
+        Arguments, quarantine and checkpoint semantics are those of
+        :meth:`AliasLinker.link`.
         """
         unknowns = list(unknowns)
         with span("batch.link", n_unknowns=len(unknowns),
                   n_known=len(self._known or ()),
                   batch_size=self.batch_size):
             result = super().link(unknowns, checkpoint=checkpoint,
-                                  resume=resume, budget=budget)
+                                  resume=resume)
         log.info("batch.link", n_unknowns=len(unknowns),
                  n_known=len(self._known), batch_size=self.batch_size,
                  accepted=len(result.accepted()),
-                 skipped=len(result.skipped),
-                 degraded=len(result.degraded()))
+                 skipped=len(result.skipped))
         return result

@@ -49,7 +49,6 @@ from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
 from repro.perf.parallel import ParallelExecutor, resolve_workers
 from repro.resilience.checkpoint import CheckpointStore, open_store
-from repro.resilience.degrade import DeadlineBudget
 
 log = get_logger(__name__)
 
@@ -66,8 +65,6 @@ _CANDIDATE_SET = histogram("final_candidate_set_size",
                            buckets=SIZE_BUCKETS)
 #: Total candidates rescored by stage 2.
 _RESCORED = counter("candidates_rescored_total")
-#: Matches answered degraded (stage-1 scores, shed activity, ...).
-_DEGRADED = counter("attribution_degraded_total")
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,6 @@ class Match:
         Whether ``score >= threshold`` (the pair the algorithm outputs).
     first_stage_score:
         The reduction-stage similarity (diagnostics).
-    degraded:
-        ``True`` when the answer was produced on partial evidence (a
-        deadline cut a stage short).  Degraded matches are honest —
-        ``score`` is whatever evidence actually ran — but not
-        comparable to full-pipeline scores.
-    degraded_reasons:
-        Why, e.g. ``("stage1_only",)`` or ``("stylometry_only",)``.
     """
 
     unknown_id: str
@@ -98,27 +88,17 @@ class Match:
     score: float
     accepted: bool
     first_stage_score: float
-    degraded: bool = False
-    degraded_reasons: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form; the single source of the field list
-        for traces, CLI JSON output and eval reporting.
-
-        The degraded keys are emitted only when set, so full-fidelity
-        runs serialize byte-identically to pre-degraded-mode output.
-        """
-        data = {
+        for traces, CLI JSON output and eval reporting."""
+        return {
             "unknown_id": self.unknown_id,
             "candidate_id": self.candidate_id,
             "score": self.score,
             "accepted": self.accepted,
             "first_stage_score": self.first_stage_score,
         }
-        if self.degraded:
-            data["degraded"] = True
-            data["degraded_reasons"] = list(self.degraded_reasons)
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Match":
@@ -129,9 +109,6 @@ class Match:
             score=float(data["score"]),
             accepted=bool(data["accepted"]),
             first_stage_score=float(data.get("first_stage_score", 0.0)),
-            degraded=bool(data.get("degraded", False)),
-            degraded_reasons=tuple(
-                str(r) for r in data.get("degraded_reasons", ())),
         )
 
 
@@ -194,8 +171,13 @@ class LinkResult:
         return [m for m in self.matches if m.accepted]
 
     def degraded(self) -> List[Match]:
-        """Matches answered on partial evidence (deadline)."""
-        return [m for m in self.matches if m.degraded]
+        """Always empty: linking has no degraded answers.
+
+        Kept only for ``benchmarks/e2e/workload.py``, which counts
+        ``len(result.degraded())`` as failures; the next benchmark
+        change drops that call and this method together.
+        """
+        return []
 
     def all_scored_pairs(self) -> Iterator[Tuple[str, str, float]]:
         """Yield ``(unknown_id, candidate_id, score)`` for every pair."""
@@ -373,11 +355,9 @@ def _restage_chunk_task(linker: "AliasLinker",
 
     Module-level so the persistent pool can pickle the function
     reference; the fitted linker rides along as the fork-shared state
-    and only the chunk itself crosses the pipe.  A budgeted link runs
-    its chunks in the parent (one worker), so ``linker._budget`` is the
-    live budget of that call; forked workers only ever see ``None``.
+    and only the chunk itself crosses the pipe.
     """
-    return linker._stage2_chunk(chunk, linker._budget)
+    return linker._stage2_chunk(chunk)
 
 
 class AliasLinker:
@@ -457,9 +437,6 @@ class AliasLinker:
         #: Bumped on every (re)fit; keys the persistent restage pool so
         #: stale forked state is never reused across fits.
         self._state_version = 0
-        #: The deadline of the :meth:`link` call in flight, for the
-        #: stage-1 hook :meth:`_reduce` and the restage chunks.
-        self._budget: Optional[DeadlineBudget] = None
 
     def _make_reducer(self, k: int) -> KAttributor:
         """A stage-1 reducer over this linker's reduction space, sharing
@@ -488,22 +465,15 @@ class AliasLinker:
 
     def _stage2_vectors(self, unknown: AliasDocument,
                         candidates: Sequence[AliasDocument],
-                        use_activity: Optional[bool] = None,
                         ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """The per-pair candidate-set fit, returning the two stage-2
         matrices (candidates, then the unknown) without scoring them —
         the batched restage folds many pairs into one similarity call.
-
-        *use_activity* overrides the linker-level setting for this one
-        pair; degraded mode uses it to shed the activity block when a
-        deadline is nearly spent.
         """
-        if use_activity is None:
-            use_activity = self.use_activity
         extractor = FeatureExtractor(
             budget=self.final_budget,
             weights=self.weights,
-            use_activity=use_activity,
+            use_activity=self.use_activity,
             use_structure=self.use_structure,
             encoder=self.encoder,
         )
@@ -593,55 +563,35 @@ class AliasLinker:
                 continue
 
     def _stage2_chunk(self, chunk: Sequence[Candidates],
-                      budget: Optional[DeadlineBudget],
                       ) -> List[Tuple[str, Any]]:
         """Restage a chunk of unknowns with one batched similarity.
 
         Returns one outcome per unknown: ``("ok", (scored, best_id,
-        best_score, reasons))``, ``("degraded", reasons)`` — answer
-        from stage-1 evidence — or ``("error", reason)``.
+        best_score))`` or ``("error", reason)``.
 
         Error isolation stays per-unknown: a pair whose candidate-set
         fit raises is reported as ``("error", reason)`` without
         dragging down its chunk-mates, whose matrices still enter the
-        shared block-diagonal product.  *budget* is consulted before
-        each pair: once spent, the pair degrades to ``stage1_only``
-        (or, strict, raises past the per-pair isolation); at the
-        activity reserve it restages ``stylometry_only``.
+        shared block-diagonal product.
         """
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(chunk)
         prepped: List[Tuple[int, sparse.csr_matrix,
-                            sparse.csr_matrix, Tuple[str, ...]]] = []
-        activity_on = self.use_activity and self.weights.activity > 0
+                            sparse.csr_matrix]] = []
         for pos, candidates in enumerate(chunk):
             unknown = candidates.unknown
-            use_activity: Optional[bool] = None
-            reasons: Tuple[str, ...] = ()
-            if budget is not None:
-                if budget.expired():
-                    budget.check("restage")  # raises unless degraded_ok
-                    outcomes[pos] = ("degraded", ("stage1_only",))
-                    continue
-                if activity_on and budget.activity_low():
-                    # Not enough budget left for the activity block:
-                    # restage on stylometry alone rather than blow
-                    # the deadline.
-                    use_activity = False
-                    reasons = ("stylometry_only",)
             try:
                 with span("linker.stage2", unknown=unknown.doc_id,
                           k=len(candidates.documents)):
                     cand_matrix, unk_matrix = self._stage2_vectors(
-                        unknown, candidates.documents,
-                        use_activity=use_activity)
-                prepped.append((pos, cand_matrix, unk_matrix, reasons))
+                        unknown, candidates.documents)
+                prepped.append((pos, cand_matrix, unk_matrix))
             except Exception as exc:  # noqa: BLE001 - quarantined later
                 outcomes[pos] = ("error",
                                  f"final attribution failed: {exc}")
         if prepped:
             rows = self._cosine_blocks(
-                [(cand, unk) for _, cand, unk, _ in prepped])
-            for (pos, _, _, reasons), pair_scores in zip(prepped, rows):
+                [(cand, unk) for _, cand, unk in prepped])
+            for (pos, _, _), pair_scores in zip(prepped, rows):
                 candidates = chunk[pos]
                 scored = [(doc.doc_id, float(score))
                           for doc, score in zip(candidates.documents,
@@ -649,7 +599,7 @@ class AliasLinker:
                 best_id, best_score = max(scored,
                                           key=lambda pair: pair[1])
                 outcomes[pos] = ("ok", (scored, best_id,
-                                        float(best_score), reasons))
+                                        float(best_score)))
         return list(outcomes)
 
     def _fingerprint(self) -> Dict[str, Any]:
@@ -660,13 +610,11 @@ class AliasLinker:
                 "threshold": self.threshold}
 
     def _reduce(self, pending: Sequence[AliasDocument],
-                budget: Optional[DeadlineBudget],
                 ) -> List[Candidates]:
         """Stage 1 proper: the candidate set of every pending unknown.
 
         The hook subclasses override to pick candidates differently
-        (:class:`~repro.core.batch.BatchedLinker`); *budget* is the
-        link call's deadline, if any.
+        (:class:`~repro.core.batch.BatchedLinker`).
         """
         if not self.use_reduction:
             return [
@@ -691,13 +639,13 @@ class AliasLinker:
         with span("linker.stage1", k=self.k,
                   reduction=self.use_reduction):
             try:
-                return self._reduce(pending, self._budget)
+                return self._reduce(pending)
             except Exception:
                 survivors: List[Candidates] = []
                 for unknown in pending:
                     try:
                         survivors.extend(
-                            self._reduce([unknown], self._budget))
+                            self._reduce([unknown]))
                     except Exception as exc:
                         _quarantine(
                             unknown.doc_id,
@@ -707,8 +655,7 @@ class AliasLinker:
 
     def link(self, unknowns: Sequence[AliasDocument],
              checkpoint: Optional[Any] = None,
-             resume: bool = False,
-             budget: Optional[DeadlineBudget] = None) -> LinkResult:
+             resume: bool = False) -> LinkResult:
         """Run the full pipeline for a batch of unknown aliases.
 
         Malformed or failing unknowns are quarantined into
@@ -717,15 +664,6 @@ class AliasLinker:
         atomically to that path; *resume* additionally skips the
         unknowns an earlier (interrupted) run already completed, and
         the assembled result is identical to an uninterrupted run.
-
-        With a *budget*, linking degrades instead of overrunning: once
-        the deadline passes, remaining unknowns are answered from their
-        stage-1 scores (``Match.degraded`` set, reasons populated) or —
-        when the budget was spent before stage 1 even ran — quarantined
-        with ``stage="deadline"``.  A budget with ``degraded_ok=False``
-        raises :class:`~repro.errors.DeadlineExceededError` instead.
-        Without a budget, or with one that never expires, the result
-        is byte-identical to a run without degraded mode.
         """
         if self._known is None:
             raise NotFittedError(
@@ -748,26 +686,11 @@ class AliasLinker:
         pending = [u for u in valid
                    if store is None or u.doc_id not in store]
         n_accepted = 0
-        n_degraded = 0
         with span("linker.link", n_unknowns=len(unknowns),
                   n_known=len(self._known)):
-            if budget is not None and budget.expired():
-                # Nothing ran: stage-1 evidence does not exist, so
-                # there is no honest answer to degrade to.
-                budget.check("reduce")
-                for unknown in pending:
-                    _quarantine(unknown.doc_id,
-                                "deadline budget exhausted before "
-                                "search-space reduction",
-                                "deadline", skipped, store)
-                pending = []
-            self._budget = budget
             reduced = self._reduce_isolated(pending, skipped, store)
             self._warm(c.unknown for c in reduced)
-            # A budgeted restage runs in the parent: the budget clock
-            # and a strict-mode DeadlineExceededError must stay here.
-            executor = ParallelExecutor(
-                1 if budget is not None else self.workers)
+            executor = ParallelExecutor(self.workers)
             chunk = _restage_chunk_size(len(reduced), executor.workers)
             chunks = [list(reduced[i:i + chunk])
                       for i in range(0, len(reduced), chunk)]
@@ -786,23 +709,10 @@ class AliasLinker:
                     _quarantine(unknown.doc_id, payload, "attribute",
                                 skipped, store)
                     continue
-                if status == "degraded":
-                    reasons = tuple(payload)
-                    scored = [(doc.doc_id, float(score))
-                              for doc, score in zip(candidates.documents,
-                                                    candidates.scores)]
-                    if not scored:
-                        _quarantine(unknown.doc_id,
-                                    "no stage-1 evidence to degrade to",
-                                    "deadline", skipped, store)
-                        continue
-                    best_id, best_score = max(scored,
-                                              key=lambda pair: pair[1])
-                else:
-                    scored, best_id, best_score, reasons = payload
-                    _CANDIDATE_SET.observe(len(candidates.documents))
-                    _RESCORED.inc(len(scored))
-                    _BEST_SCORE.observe(best_score)
+                scored, best_id, best_score = payload
+                _CANDIDATE_SET.observe(len(candidates.documents))
+                _RESCORED.inc(len(scored))
+                _BEST_SCORE.observe(best_score)
                 first_stage = dict(
                     (doc.doc_id, score)
                     for doc, score in zip(candidates.documents,
@@ -813,28 +723,19 @@ class AliasLinker:
                     n_accepted += 1
                 else:
                     _REJECTED.inc()
-                degraded = bool(reasons)
-                if degraded:
-                    _DEGRADED.inc()
-                    n_degraded += 1
-                    log.info("linker.degraded", unknown=unknown.doc_id,
-                             reasons=list(reasons))
                 match = Match(
                     unknown_id=unknown.doc_id,
                     candidate_id=best_id,
                     score=best_score,
                     accepted=accepted,
                     first_stage_score=first_stage.get(best_id, 0.0),
-                    degraded=degraded,
-                    degraded_reasons=reasons,
                 )
                 results[unknown.doc_id] = ([match], scored)
                 if store is not None:
                     store.record(unknown.doc_id, [match], scored)
         log.info("linker.link", n_unknowns=len(unknowns),
                  n_known=len(self._known), accepted=n_accepted,
-                 skipped=len(skipped), degraded=n_degraded,
-                 threshold=self.threshold)
+                 skipped=len(skipped), threshold=self.threshold)
         return _assemble(unknowns, results, skipped, store)
 
     def link_one(self, unknown: AliasDocument) -> Match:

@@ -106,21 +106,6 @@ class SnapshotError(ResilienceError):
         self.section = section
 
 
-class DeadlineExceededError(ResilienceError):
-    """A deadline-budgeted call ran out of time and was not allowed to
-    degrade (``DeadlineBudget(degraded_ok=False)``).
-
-    Attributes
-    ----------
-    stage:
-        The pipeline stage that observed the expiry.
-    """
-
-    def __init__(self, message: str, stage: str = "") -> None:
-        super().__init__(message)
-        self.stage = stage
-
-
 class NotFittedError(ReproError):
     """A model-like object was used before being fitted.
 

@@ -23,10 +23,9 @@ Cells are ``(drift, text-size bucket)`` pairs:
 
 Everything honours the feature-family configuration
 (:class:`repro.config.FeatureConfig`), including the reply-graph
-structure family, and the resilience variants: deadline budgets and
-snapshot round-trips can be injected per run with honest per-episode
-degraded accounting — degraded or skipped episodes are counted, never
-silently folded into the quality metrics.
+structure family, and snapshot round-trips can be injected per run.
+Skipped (quarantined) episodes are counted per cell, never silently
+folded into the quality metrics.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,15 +52,12 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.perf.cache import ProfileCache
-from repro.resilience.degrade import DeadlineBudget
 from repro.synth.rng import substream
 
 log = get_logger(__name__)
 
 #: Episodes scored (any variant, any fidelity).
 _EPISODES_RUN = counter("episodes_run_total")
-#: Episodes answered on partial evidence (deadline).
-_EPISODES_DEGRADED = counter("episodes_degraded_total")
 #: Episodes quarantined instead of scored.
 _EPISODES_SKIPPED = counter("episodes_skipped_total")
 
@@ -198,9 +193,8 @@ class EpisodeOutcome:
     """What one episode run produced.
 
     ``rank`` is the 1-based rank of the true candidate (closed
-    episodes answered at full fidelity only).  ``degraded`` episodes
-    were answered on partial evidence; ``skipped`` ones were
-    quarantined — both are excluded from the quality metrics and
+    episodes answered at full fidelity only).  ``skipped`` episodes
+    were quarantined — they are excluded from the quality metrics and
     reported separately (honest accounting).
     """
 
@@ -212,14 +206,12 @@ class EpisodeOutcome:
     accepted: bool = False
     true_id: Optional[str] = None
     rank: Optional[int] = None
-    degraded: bool = False
-    degraded_reasons: Tuple[str, ...] = ()
     skipped: bool = False
     reason: str = ""
 
     @property
     def full_fidelity(self) -> bool:
-        return not self.degraded and not self.skipped
+        return not self.skipped
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -232,9 +224,6 @@ class EpisodeOutcome:
             "true_id": self.true_id,
             "rank": self.rank,
         }
-        if self.degraded:
-            data["degraded"] = True
-            data["degraded_reasons"] = list(self.degraded_reasons)
         if self.skipped:
             data["skipped"] = True
             data["reason"] = self.reason
@@ -475,19 +464,14 @@ class EpisodeReport:
     """Scores of one episode-suite run.
 
     ``cells`` maps :func:`cell_key` names to metric dicts; metrics are
-    computed over full-fidelity episodes only, with degraded and
-    skipped episodes counted per cell instead of polluting the
-    averages.
+    computed over full-fidelity episodes only, with skipped episodes
+    counted per cell instead of polluting the averages.
     """
 
     variant: str
     features: str
     outcomes: List[EpisodeOutcome] = field(default_factory=list)
     cells: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def n_degraded(self) -> int:
-        return sum(1 for o in self.outcomes if o.degraded)
 
     @property
     def n_skipped(self) -> int:
@@ -526,7 +510,6 @@ def _warm_cache(cache: ProfileCache, documents: Sequence[AliasDocument],
 
 def _score_episode_full(episode: Episode, features: FeatureConfig,
                         threshold: float, cache: ProfileCache,
-                        budget: Optional[DeadlineBudget],
                         snapshot_dir: Optional[Path],
                         ) -> EpisodeOutcome:
     """Run the paper's two-stage linker over one episode panel."""
@@ -544,7 +527,7 @@ def _score_episode_full(episode: Episode, features: FeatureConfig,
         path = Path(snapshot_dir) / "episode.idx"
         save_index(linker, path)
         linker = load_index(path)
-    result = linker.link([episode.unknown], budget=budget)
+    result = linker.link([episode.unknown])
     if result.skipped:
         entry = result.skipped[0]
         return EpisodeOutcome(
@@ -554,7 +537,7 @@ def _score_episode_full(episode: Episode, features: FeatureConfig,
     match = result.matches[0]
     scored = result.candidate_scores[episode.unknown.doc_id]
     rank: Optional[int] = None
-    if episode.true_id is not None and not match.degraded:
+    if episode.true_id is not None:
         ids = [cid for cid, _ in scored]
         scores = np.asarray([s for _, s in scored], dtype=np.float64)
         rank = rank_of(scores, ids.index(episode.true_id))
@@ -562,9 +545,7 @@ def _score_episode_full(episode: Episode, features: FeatureConfig,
         episode_id=episode.episode_id, drift=episode.drift,
         bucket=episode.bucket, best_id=match.candidate_id,
         best_score=float(match.score), accepted=match.accepted,
-        true_id=episode.true_id, rank=rank,
-        degraded=match.degraded,
-        degraded_reasons=match.degraded_reasons)
+        true_id=episode.true_id, rank=rank)
 
 
 def _cell_corpora(episodes: Sequence[Episode],
@@ -641,7 +622,6 @@ def _cell_metrics(outcomes: Sequence[EpisodeOutcome]) -> Dict[str, float]:
         "n_episodes": float(len(outcomes)),
         "n_full": float(len(full)),
         "n_closed": float(len(closed)),
-        "n_degraded": float(sum(1 for o in outcomes if o.degraded)),
         "n_skipped": float(sum(1 for o in outcomes if o.skipped)),
     }
 
@@ -650,8 +630,6 @@ def run_episodes(episodes: Sequence[Episode],
                  features: FeatureConfig | None = None,
                  variant: str = "full",
                  threshold: float = PAPER_THRESHOLD,
-                 budget_factory: Optional[
-                     Callable[[], DeadlineBudget]] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
                  cache: Optional[ProfileCache] = None) -> EpisodeReport:
     """Score an episode suite with a configured linker variant.
@@ -667,12 +645,6 @@ def run_episodes(episodes: Sequence[Episode],
         degraded variant the golden gate must reject).
     threshold:
         Acceptance threshold on the best-candidate score.
-    budget_factory:
-        When set, called once per episode to produce a fresh
-        :class:`~repro.resilience.degrade.DeadlineBudget`; episodes
-        answered degraded (or quarantined) under it are counted per
-        cell and excluded from the quality metrics.  Full variant
-        only.
     snapshot_dir:
         When set, every fitted linker is saved to and reloaded from
         an index snapshot in this directory before scoring — the
@@ -728,17 +700,13 @@ def run_episodes(episodes: Sequence[Episode],
                     outcome = _score_episode_stage1(
                         episode, attributor, corpus_index, threshold)
                 else:
-                    budget = budget_factory() if budget_factory \
-                        else None
                     outcome = _score_episode_full(
                         episode, features, threshold,
                         shared if shared is not None
-                        else ProfileCache(), budget,
+                        else ProfileCache(),
                         Path(snapshot_dir)
                         if snapshot_dir is not None else None)
             _EPISODES_RUN.inc()
-            if outcome.degraded:
-                _EPISODES_DEGRADED.inc()
             if outcome.skipped:
                 _EPISODES_SKIPPED.inc()
             report.outcomes.append(outcome)
@@ -748,8 +716,7 @@ def run_episodes(episodes: Sequence[Episode],
         report.cells = {key: _cell_metrics(outcomes)
                         for key, outcomes in sorted(by_cell.items())}
     log.info("eval.run_episodes", variant=variant,
-             episodes=len(episodes), degraded=report.n_degraded,
-             skipped=report.n_skipped)
+             episodes=len(episodes), skipped=report.n_skipped)
     return report
 
 

@@ -36,7 +36,6 @@ from repro.obs.logging import get_logger
 from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
 from repro.perf.parallel import resolve_workers
-from repro.resilience.degrade import DeadlineBudget
 from repro.textproc.cleaning import CleaningConfig, PolishReport, \
     polish_forum
 
@@ -187,15 +186,13 @@ class LinkingPipeline:
                        unknown: List[AliasDocument],
                        checkpoint: Optional[object] = None,
                        resume: bool = False,
-                       budget: Optional[DeadlineBudget] = None,
                        ) -> LinkResult:
         """Link already-refined document sets.
 
         *checkpoint* persists every finished unknown atomically to that
         path; *resume* additionally skips the unknowns an interrupted
         run already completed (the result equals an uninterrupted
-        run's).  *budget* bounds the linking stage's wall-clock (see
-        :meth:`repro.core.linker.AliasLinker.link`).
+        run's).
         """
         if resume and checkpoint is None:
             raise ConfigurationError(
@@ -212,23 +209,21 @@ class LinkingPipeline:
             linker = self._make_linker()
             linker.fit(known)
             return linker.link(unknown, checkpoint=checkpoint,
-                               resume=resume, budget=budget)
+                               resume=resume)
 
     def link_forums(self, known_forum: Forum,
                     unknown_forum: Forum,
                     checkpoint: Optional[object] = None,
                     resume: bool = False,
-                    budget: Optional[DeadlineBudget] = None,
                     ) -> LinkResult:
         """The one-call API: polish, refine and link two raw forums.
 
         *known_forum* plays the paper's set Z (e.g. Reddit); every
         refined alias of *unknown_forum* (e.g. a dark-web forum) is
         linked against it.  See :meth:`link_documents` for
-        *checkpoint* / *resume* / *budget*.
+        *checkpoint* / *resume*.
         """
         known = self.prepare_forum(known_forum, is_known=True)
         unknown = self.prepare_forum(unknown_forum, is_known=False)
         return self.link_documents(known, unknown,
-                                   checkpoint=checkpoint, resume=resume,
-                                   budget=budget)
+                                   checkpoint=checkpoint, resume=resume)

@@ -20,16 +20,12 @@ layer one shared vocabulary for surviving it:
 * :mod:`repro.resilience.snapshot` — crash-safe persistent index
   snapshots: :func:`save_index` / :func:`load_index` round-trip a
   fitted linker bit-identically, :func:`verify_index` /
-  :func:`salvage_index` audit and recover damaged files;
-* :mod:`repro.resilience.degrade` — :class:`DeadlineBudget`: per-call
-  wall-clock budgets that turn overruns into partial-but-honest
-  degraded results instead of blown deadlines.
+  :func:`salvage_index` audit and recover damaged files.
 
 Semantics and file formats: ``docs/robustness.md``.
 """
 
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
-from repro.resilience.degrade import DeadlineBudget
 from repro.resilience.faults import (
     DEFAULT_FAULT_RATE,
     FAULT_KINDS,
@@ -60,7 +56,6 @@ __all__ = [
     "CheckpointStore",
     "DEFAULT_FAULT_RATE",
     "DEFAULT_RETRYABLE",
-    "DeadlineBudget",
     "FAULT_KINDS",
     "FAULT_KINDS_ENV",
     "FAULT_RATE_ENV",

@@ -52,6 +52,19 @@ _RESUMED = counter("checkpoint_entries_resumed_total")
 _SALVAGED = counter("checkpoint_lines_salvaged_total")
 
 
+def _degraded_entry(entry: Dict[str, Any]) -> bool:
+    """Whether *entry* was written by the removed degraded mode: a
+    match flagged ``degraded`` or a ``deadline`` quarantine.  A full
+    run would link such an unknown, so replaying it is wrong."""
+    matches = entry.get("matches")
+    skipped = entry.get("skipped")
+    return (isinstance(matches, list)
+            and any(isinstance(m, dict) and "degraded" in m
+                    for m in matches)) \
+        or (isinstance(skipped, dict)
+            and skipped.get("stage") == "deadline")
+
+
 def _roundtrip(value: Any) -> Any:
     """Normalize *value* through JSON so recorded-now and loaded-later
     entries compare equal (exact for floats; tuples become lists)."""
@@ -126,6 +139,10 @@ class CheckpointStore:
         it are kept, so ``--resume`` recovers everything that was
         durably written.  Corruption anywhere *before* the tail still
         raises — mid-file damage means the file cannot be trusted.
+
+        An entry written by the removed degraded mode (a ``degraded``
+        match or a ``deadline`` quarantine) raises even with
+        *salvage*: a full run would link that unknown.
         """
         if not self.path.exists():
             raise CheckpointError(f"{self.path}: no such checkpoint")
@@ -166,6 +183,11 @@ class CheckpointStore:
                     break
                 raise CheckpointError(
                     f"{self.path}:{lineno}: {reason}")
+            if _degraded_entry(entry):
+                raise CheckpointError(
+                    f"{self.path}:{lineno}: {entry['unknown_id']} was "
+                    f"answered in degraded mode, which linking no "
+                    f"longer has; rerun without --resume")
             entries[str(entry["unknown_id"])] = entry
         self._entries = entries
         _RESUMED.inc(len(entries))

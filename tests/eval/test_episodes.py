@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import FeatureConfig
 from repro.core.documents import AliasDocument
+from repro.core.linker import AliasLinker
 from repro.errors import ConfigurationError
 from repro.eval.episodes import (
     DRIFTS,
@@ -172,7 +173,7 @@ class TestRunner:
     def test_full_run_scores_every_episode(self, synth_episodes):
         report = run_episodes(synth_episodes)
         assert len(report.outcomes) == len(synth_episodes)
-        assert report.n_degraded == 0 and report.n_skipped == 0
+        assert report.n_skipped == 0
         cell = report.cells["dark-dark/w200"]
         assert cell["n_episodes"] == len(synth_episodes)
         assert cell["n_full"] == len(synth_episodes)
@@ -187,20 +188,41 @@ class TestRunner:
         stage1 = run_episodes(synth_episodes, variant="stage1")
         assert [o.episode_id for o in stage1.outcomes] \
             == [o.episode_id for o in full.outcomes]
-        assert stage1.n_degraded == 0 and stage1.n_skipped == 0
+        assert stage1.n_skipped == 0
         assert stage1.cells["dark-dark/w200"]["n_full"] \
             == len(synth_episodes)
 
     def test_outcome_serialization_is_conditional(self):
         clean = EpisodeOutcome(episode_id="e", drift="dark-dark",
                                bucket=200)
-        assert "degraded" not in clean.to_dict()
         assert "skipped" not in clean.to_dict()
+        assert clean.full_fidelity
         hurt = EpisodeOutcome(episode_id="e", drift="dark-dark",
-                              bucket=200, degraded=True,
-                              degraded_reasons=("stage1_only",))
-        assert hurt.to_dict()["degraded_reasons"] == ["stage1_only"]
+                              bucket=200, skipped=True,
+                              reason="attribute: boom")
+        assert hurt.to_dict()["reason"] == "attribute: boom"
         assert not hurt.full_fidelity
+
+    def test_failing_stage2_quarantines_episodes(self, synth_episodes,
+                                                 monkeypatch):
+        """Skipped episodes are counted per cell and kept out of the
+        quality metrics, which read 0 rather than numbers computed
+        from no evidence."""
+        def broken(self, unknown, candidates):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(AliasLinker, "_stage2_vectors", broken)
+        report = run_episodes(synth_episodes)
+        assert report.n_skipped == len(synth_episodes)
+        for outcome in report.outcomes:
+            assert outcome.skipped
+            assert outcome.reason.startswith("attribute")
+            assert outcome.rank is None
+        for metrics in report.cells.values():
+            assert metrics["n_skipped"] == metrics["n_episodes"]
+            assert metrics["n_full"] == 0.0
+            assert metrics["auc"] == 0.0
+            assert metrics["brier"] == 0.0
 
     def test_report_round_trips_through_json(self, synth_episodes):
         report = run_episodes(synth_episodes)

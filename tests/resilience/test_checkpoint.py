@@ -91,6 +91,53 @@ class TestStore:
         assert len(store) == 0
 
 
+class TestDegradedEntriesRejected:
+    """Checkpoints written by the removed degraded mode (a ``degraded``
+    match, a ``deadline`` quarantine) must not be replayed: a full run
+    would link those unknowns."""
+
+    @staticmethod
+    def _write(path, entry):
+        header = {"kind": "link-checkpoint", "schema": 1,
+                  "fingerprint": None, "n_entries": 2}
+        plain = {"unknown_id": "tmg/ok", "matches": [_match().to_dict()],
+                 "scores": [["reddit/u9", 0.5]], "skipped": None}
+        path.write_text("".join(json.dumps(obj) + "\n"
+                                for obj in (header, plain, entry)))
+
+    @pytest.mark.parametrize("entry", [
+        {"unknown_id": "tmg/u1",
+         "matches": [dict(_match().to_dict(), degraded=True,
+                          degraded_reasons=["stage1_only"])],
+         "scores": [["reddit/u9", 0.5]], "skipped": None},
+        {"unknown_id": "tmg/u1", "matches": [], "scores": [],
+         "skipped": {"unknown_id": "tmg/u1",
+                     "reason": "deadline budget exhausted before "
+                               "search-space reduction",
+                     "stage": "deadline"}},
+    ], ids=["degraded-match", "deadline-quarantine"])
+    @pytest.mark.parametrize("salvage", [False, True])
+    def test_load_rejects(self, tmp_path, entry, salvage):
+        path = tmp_path / "old.ckpt"
+        self._write(path, entry)
+        with pytest.raises(CheckpointError) as exc:
+            CheckpointStore(path).load(salvage=salvage)
+        message = str(exc.value)
+        assert f"{path}:3:" in message
+        assert "tmg/u1" in message
+        assert "rerun without --resume" in message
+        assert not (tmp_path / "old.ckpt.quarantined").exists()
+
+    def test_resume_rejects(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        self._write(path, {"unknown_id": "tmg/u1", "matches": [],
+                           "scores": [],
+                           "skipped": {"unknown_id": "tmg/u1",
+                                       "reason": "", "stage": "deadline"}})
+        with pytest.raises(CheckpointError):
+            open_store(path, resume=True)
+
+
 class TestOpenStore:
     def test_none_path_disables(self):
         assert open_store(None) is None
@@ -233,8 +280,7 @@ class TestResumeEqualsUninterrupted:
         first = AliasLinker(threshold=0.0).fit(known).link(
             unknowns, checkpoint=path)
 
-        def exploding_vectors(self, unknown, candidates,
-                              use_activity=None):
+        def exploding_vectors(self, unknown, candidates):
             raise AssertionError("stage 2 ran on a completed resume")
 
         monkeypatch.setattr(AliasLinker, "_stage2_vectors",

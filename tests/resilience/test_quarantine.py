@@ -145,10 +145,10 @@ class TestAliasLinkerQuarantine:
         victim = unknowns[1].doc_id
         original = AliasLinker._stage2_vectors
 
-        def flaky_vectors(self, unknown, candidates, use_activity=None):
+        def flaky_vectors(self, unknown, candidates):
             if unknown.doc_id == victim:
                 raise RuntimeError("GPU fell off the bus")
-            return original(self, unknown, candidates, use_activity)
+            return original(self, unknown, candidates)
 
         monkeypatch.setattr(AliasLinker, "_stage2_vectors",
                             flaky_vectors)

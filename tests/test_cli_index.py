@@ -1,4 +1,4 @@
-"""CLI tests: index build/verify/info and link --index/--deadline-ms.
+"""CLI tests: index build/verify/info and link --index.
 
 A snapshot built once by ``index build`` is linked against via
 ``link --index`` and must print exactly what ``link --known`` prints
@@ -158,43 +158,6 @@ class TestLinkWithIndex:
         with pytest.raises(SystemExit):
             main(["link",
                   "--unknown", str(world_dir / "tmg.jsonl")])
-
-
-class TestLinkDeadline:
-    def test_strict_deadline_fails_loudly(self, world_dir, snapshot,
-                                          capsys):
-        code = main(["link",
-                     "--index", str(snapshot),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--deadline-ms", "0.001"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "deadline" in captured.err
-
-    def test_degraded_ok_quarantines_instead(self, world_dir,
-                                             snapshot, capsys):
-        code = main(["link",
-                     "--index", str(snapshot),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--deadline-ms", "0.001", "--degraded-ok"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "skipped unknowns:" in captured.out
-        assert "[deadline]" in captured.out
-
-    def test_generous_deadline_matches_no_deadline(self, world_dir,
-                                                   snapshot, capsys):
-        plain = main(["link",
-                      "--index", str(snapshot),
-                      "--unknown", str(world_dir / "tmg.jsonl")])
-        out_plain = capsys.readouterr().out
-        rich = main(["link",
-                     "--index", str(snapshot),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--deadline-ms", "600000", "--degraded-ok"])
-        out_rich = capsys.readouterr().out
-        assert plain == rich == 0
-        assert out_plain == out_rich
 
 
 class TestManifest:
