@@ -21,9 +21,8 @@ worlds (see DESIGN.md for the substitution rationale):
 * :mod:`repro.resilience` — fault tolerance: retry policies,
   deterministic fault injection, resumable checkpoints, crash-safe
   index snapshots (``docs/robustness.md``);
-* :mod:`repro.perf` — performance: compute-once profile caching,
-  fork-pool parallel restage, blocked stage-1 scoring
-  (``docs/performance.md``).
+* :mod:`repro.perf` — performance: compute-once profile caching and
+  blocked stage-1 scoring (``docs/performance.md``).
 
 Quick start::
 
@@ -76,7 +75,7 @@ from repro.errors import (
 from repro import obs
 from repro import perf
 from repro import resilience
-from repro.perf import ParallelExecutor, ProfileCache
+from repro.perf import ProfileCache
 from repro.pipeline import LinkingPipeline, PipelineReport
 from repro.resilience import (
     CheckpointStore,
@@ -123,7 +122,6 @@ __all__ = [
     "SnapshotError",
     "TransientError",
     "LinkingPipeline",
-    "ParallelExecutor",
     "PipelineReport",
     "ProfileCache",
     "load_index",

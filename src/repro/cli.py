@@ -9,9 +9,9 @@ Six subcommands cover the end-to-end workflow of the paper:
 * ``link`` — link the aliases of one forum against another
   (Sections IV-I/IV-J); ``--checkpoint FILE``/``--resume`` make long
   runs crash-safe (see ``docs/robustness.md``),
-  ``--workers N``/``--no-cache``/``--block-size`` tune the perf
-  subsystem (see ``docs/performance.md``); ``--index SNAP`` links
-  against a prebuilt snapshot instead of refitting;
+  ``--no-cache``/``--block-size`` tune the perf subsystem (see
+  ``docs/performance.md``); ``--index SNAP`` links against a prebuilt
+  snapshot instead of refitting;
 * ``index`` — ``build``/``verify``/``info`` for crash-safe persistent
   index snapshots: fit once, link many times from a
   checksum-verified on-disk image;
@@ -29,10 +29,10 @@ Six subcommands cover the end-to-end workflow of the paper:
 
 Global telemetry flags (before the subcommand): ``--trace FILE.json``
 records every pipeline span plus a metrics snapshot to *FILE*;
-``--trace-chrome FILE.json`` additionally exports the span tree —
-including per-worker restage lanes — as Chrome Trace Event JSON for
-``about://tracing``/Perfetto; ``--profile``/``--profile-alloc``
-attach RSS/GC (and tracemalloc) resource payloads to every span.
+``--trace-chrome FILE.json`` additionally exports the span tree as
+Chrome Trace Event JSON for ``about://tracing``/Perfetto;
+``--profile``/``--profile-alloc`` attach RSS/GC (and tracemalloc)
+resource payloads to every span.
 Every trace output gains a ``*.manifest.json`` sidecar recording
 config, seeds, env knobs, versions, git rev and input digests.
 ``--log-level``/``--log-format`` configure structured logging (see
@@ -138,8 +138,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     if args.index is not None:
         from repro.resilience.snapshot import load_index
 
-        linker = load_index(args.index, workers=args.workers,
-                            cache=not args.no_cache,
+        linker = load_index(args.index, cache=not args.no_cache,
                             block_size=args.block_size)
         if args.threshold is not None:
             linker.threshold = args.threshold
@@ -150,7 +149,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=getattr(linker, "batch_size", None),
-            workers=linker.workers,
             cache=linker.cache.enabled,
             block_size=linker.block_size,
         )
@@ -168,7 +166,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=args.batch_size,
-            workers=args.workers,
             cache=not args.no_cache,
             block_size=args.block_size,
         )
@@ -423,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="additionally export the span tree as "
                              "Chrome Trace Event JSON (open in "
-                             "about://tracing or Perfetto; workers "
-                             "render as separate process lanes)")
+                             "about://tracing or Perfetto)")
     parser.add_argument("--profile", action="store_true",
                         help="attach RSS/GC resource payloads to "
                              "every span (requires --trace or "
@@ -480,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "snapshot's with --index, else the "
                            f"paper's {PAPER_THRESHOLD})")
     link.add_argument("--batch-size", type=int, default=None,
-                      help="enable the IV-J batched pipeline")
+                      help="enable the IV-J batched pipeline (with "
+                           "--known only: a snapshot fixes its own)")
     link.add_argument("--json", action="store_true",
                       help="print the full LinkResult as JSON")
     link.add_argument("--checkpoint", metavar="FILE", default=None,
@@ -489,10 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--resume", action="store_true",
                       help="skip unknowns already completed in "
                            "--checkpoint FILE")
-    link.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker processes for the stage-2 restage "
-                           "(default from REPRO_WORKERS, else serial; "
-                           "output is identical at any worker count)")
     link.add_argument("--no-cache", action="store_true",
                       help="disable the per-document profile cache "
                            "(same results, more recomputation)")
@@ -664,6 +657,11 @@ def _write_run_artifacts(args: argparse.Namespace,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "link" and args.index is not None \
+            and args.batch_size is not None:
+        parser.error("--batch-size cannot be combined with --index: the "
+                     "snapshot fixes the procedure (set it with "
+                     "'index build --batch-size')")
     tracing = False
     profiling = False
     started = time.perf_counter()

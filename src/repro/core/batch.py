@@ -73,7 +73,6 @@ class BatchedLinker(AliasLinker):
         if not known:
             raise ConfigurationError("known corpus must not be empty")
         self._known = list(known)
-        self._state_version += 1
         return self
 
     def _reduce_pool(self, pool: Sequence[AliasDocument],

@@ -137,6 +137,3 @@ class IncrementalLinker(AliasLinker):
             self._known.extend(documents)
         self._added_since_fit += len(documents)
         _ADDED.inc(len(documents))
-        # Invalidate any persistent restage pool: forked workers hold
-        # the pre-growth memory image.
-        self._state_version += 1

@@ -19,8 +19,8 @@ corpus it was diluted across thousands of users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, \
+    Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +47,7 @@ from repro.obs.metrics import SCORE_BUCKETS, SIZE_BUCKETS, counter, \
 from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
-from repro.perf.parallel import ParallelExecutor, resolve_workers
+from repro.perf.parallel import ParallelExecutor
 from repro.resilience.checkpoint import CheckpointStore, open_store
 
 log = get_logger(__name__)
@@ -334,30 +334,12 @@ def _assemble(unknowns: Sequence[Any],
                       skipped=skipped_list)
 
 
-def _restage_chunk_size(n_unknowns: int, workers: int) -> int:
-    """Unknowns per restage chunk.
-
-    Large enough that the block-diagonal rescore amortizes its setup
-    (and, parallel, that per-item pickling is cheap relative to work),
-    small enough that workers load-balance (4 chunks per worker) and
-    the dense score block stays bounded (64 rows x 64k columns).
-    """
-    if n_unknowns <= 0:
-        return 1
-    per_worker = -(-n_unknowns // max(workers * 4, 1))
-    return max(1, min(64, per_worker))
-
-
-def _restage_chunk_task(linker: "AliasLinker",
-                        chunk: Sequence[Candidates],
-                        ) -> List[Tuple[str, Any]]:
-    """``map_shared`` entry point for one restage chunk.
-
-    Module-level so the persistent pool can pickle the function
-    reference; the fitted linker rides along as the fork-shared state
-    and only the chunk itself crosses the pipe.
-    """
-    return linker._stage2_chunk(chunk)
+#: Unknowns per restage chunk.  A chunk's pairs share one
+#: block-diagonal product, but the chunk holds every pair's candidate
+#: matrices at once: on a 2-core host a chunk of 64 raised the
+#: dark-open benchmark's peak RSS by 16%, while chunks of 1 to 20
+#: linked index-query batches within 3% of each other.
+RESTAGE_CHUNK = 2
 
 
 class AliasLinker:
@@ -382,10 +364,6 @@ class AliasLinker:
         When ``False``, skip stage 1 and score the unknown against
         *every* known alias with the final feature space — the
         "without reduction" rows of Table VI / Fig. 5.
-    workers:
-        Worker processes for the stage-2 restage; ``None`` reads
-        ``REPRO_WORKERS`` and defaults to serial.  Output is
-        bit-identical at any worker count.
     cache:
         ``True`` (default) computes every document's raw profiles
         exactly once; ``False`` recomputes on every use (same numbers,
@@ -405,7 +383,6 @@ class AliasLinker:
                  use_activity: bool = True,
                  use_structure: bool = False,
                  use_reduction: bool = True,
-                 workers: Optional[int] = None,
                  cache: Union[bool, ProfileCache] = True,
                  block_size: Optional[int] = None) -> None:
         if k < 1:
@@ -422,10 +399,9 @@ class AliasLinker:
         self.use_activity = use_activity
         self.use_structure = use_structure
         self.use_reduction = use_reduction
-        # Perf knobs resolve once, here (argument > env > default), so
-        # manifests and snapshots read concrete values and a mid-run
+        # The block size resolves once, here (argument > env > default),
+        # so manifests and snapshots read a concrete value and a mid-run
         # environment change cannot skew a sweep.
-        self.workers = resolve_workers(workers)
         self.block_size = resolve_block_size(block_size)
         if isinstance(cache, ProfileCache):
             self.cache = cache
@@ -434,9 +410,6 @@ class AliasLinker:
         self.encoder = DocumentEncoder(cache=self.cache)
         self.reducer = self._make_reducer(k)
         self._known: Optional[List[AliasDocument]] = None
-        #: Bumped on every (re)fit; keys the persistent restage pool so
-        #: stale forked state is never reused across fits.
-        self._state_version = 0
 
     def _make_reducer(self, k: int) -> KAttributor:
         """A stage-1 reducer over this linker's reduction space, sharing
@@ -457,7 +430,6 @@ class AliasLinker:
             known = list(known)
             self.reducer.fit(known)
             self._known = known
-            self._state_version += 1
         log.debug("linker.fit", n_known=len(self._known), k=self.k)
         return self
 
@@ -534,33 +506,6 @@ class AliasLinker:
         scores = cosine_similarity(unknown_matrix, candidate_matrix)[0]
         return [(doc.doc_id, float(score))
                 for doc, score in zip(candidates, scores)]
-
-    def _warm(self, unknowns: Iterable[AliasDocument]) -> None:
-        """Intern every unknown's profiles in submission order.
-
-        The restage may run in forked workers whose vocabulary copies
-        are frozen at fork time; interning everything in the parent
-        first keeps word-id assignment — and therefore n-gram codes and
-        tie-breaking — identical across worker counts.  With stage 1
-        enabled this is all cache hits (the reduce already touched
-        every pending unknown); it only does real work for
-        ``use_reduction=False`` runs.  Failing documents are left for
-        the restage to quarantine with its usual error message.
-        """
-        cache = self.encoder.cache
-        for unknown in unknowns:
-            try:
-                self.encoder.word_profile(unknown)
-                self.encoder.char_profile(unknown)
-                if self.weights.frequencies > 0:
-                    self.encoder.freq_features(unknown)
-                if self.use_activity and self.weights.activity > 0:
-                    cache.activity_row(unknown,
-                                       self.final_budget.activity_bins)
-                if self.use_structure and self.weights.structure > 0:
-                    cache.structure_row(unknown)
-            except Exception:  # noqa: BLE001 - requarantined in stage 2
-                continue
 
     def _stage2_chunk(self, chunk: Sequence[Candidates],
                       ) -> List[Tuple[str, Any]]:
@@ -689,20 +634,12 @@ class AliasLinker:
         with span("linker.link", n_unknowns=len(unknowns),
                   n_known=len(self._known)):
             reduced = self._reduce_isolated(pending, skipped, store)
-            self._warm(c.unknown for c in reduced)
-            executor = ParallelExecutor(self.workers)
-            chunk = _restage_chunk_size(len(reduced), executor.workers)
-            chunks = [list(reduced[i:i + chunk])
-                      for i in range(0, len(reduced), chunk)]
-            with span("linker.restage", n_unknowns=len(reduced),
-                      workers=executor.workers):
-                folded = executor.map_shared(
-                    _restage_chunk_task, chunks, state=self,
-                    version=self._state_version)
+            chunks = [reduced[i:i + RESTAGE_CHUNK]
+                      for i in range(0, len(reduced), RESTAGE_CHUNK)]
+            with span("linker.restage", n_unknowns=len(reduced)):
+                folded = ParallelExecutor().map_shared(
+                    type(self)._stage2_chunk, chunks, self)
             outcomes = [outcome for part in folded for outcome in part]
-            # Match construction, metrics and checkpoint records stay in
-            # the parent, in reduced order — a workers=4 run writes the
-            # same records in the same order as workers=1.
             for candidates, (status, payload) in zip(reduced, outcomes):
                 unknown = candidates.unknown
                 if status == "error":

@@ -8,7 +8,7 @@ can say *what produced it*.  A manifest pins that down::
      "argv": ["--known", "dm.jsonl", ...],
      "config": {"k": 10, "threshold": 0.419, ...},
      "seed": 7,
-     "env": {"REPRO_WORKERS": "4"},          # only the knobs that are set
+     "env": {"REPRO_BLOCK_SIZE": "512"},     # only the knobs that are set
      "python": "3.12.3", "numpy": "1.26.4",
      "platform": "Linux-6.8...-x86_64",
      "git_rev": "c5cbe09...",                # None outside a checkout
@@ -43,6 +43,7 @@ __all__ = [
     "MANIFEST_VERSION",
     "TIMING_FIELDS",
     "ENV_KNOBS",
+    "available_cores",
     "build_manifest",
     "write_manifest",
     "load_manifest",
@@ -62,12 +63,10 @@ TIMING_FIELDS: Tuple[str, ...] = ("created_at", "elapsed_s")
 #: actually set land in the manifest, so an unset environment stays an
 #: empty (and therefore comparable) dict.
 ENV_KNOBS: Tuple[str, ...] = (
-    "REPRO_WORKERS",
     "REPRO_BLOCK_SIZE",
     "REPRO_FAULT_SEED",
     "REPRO_FAULT_RATE",
     "REPRO_FAULT_KINDS",
-    "REPRO_PARALLEL_GATE",
     "REPRO_LOG_LEVEL",
     "REPRO_LOG_FORMAT",
     "REPRO_PROFILE",
@@ -109,25 +108,25 @@ def _numpy_version() -> Optional[str]:
         return None
 
 
-def _available_cores() -> Optional[int]:
-    """Cores available to this process (lazy import: keeps the obs
-    layer free of a hard perf-layer dependency at module load)."""
-    try:
-        from repro.perf.parallel import available_cores
-        return int(available_cores())
-    except Exception:  # pragma: no cover - defensive
-        return None
+def available_cores() -> int:
+    """CPU cores actually available to this process.
 
-
-def _parallel_gate_enabled() -> Optional[bool]:
-    """Whether the available-core gate (``REPRO_PARALLEL_GATE``) is
-    active — i.e. whether over-subscribed worker counts silently ran
-    serial in this process."""
+    Prefers ``os.process_cpu_count`` (3.13+), then the scheduling
+    affinity mask, then ``os.cpu_count`` — the first is the honest
+    answer under cgroup/affinity limits, the rest are fallbacks.
+    """
+    probe = getattr(os, "process_cpu_count", None)
+    if probe is not None:
+        cores = probe()
+        if cores:
+            return cores
     try:
-        from repro.perf.parallel import _gate_enabled
-        return bool(_gate_enabled())
-    except Exception:  # pragma: no cover - defensive
-        return None
+        affinity = os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        affinity = None
+    if affinity:
+        return len(affinity)
+    return os.cpu_count() or 1
 
 
 def build_manifest(command: Optional[str] = None,
@@ -160,12 +159,9 @@ def build_manifest(command: Optional[str] = None,
         "seed": seed,
         "env": {knob: os.environ[knob] for knob in ENV_KNOBS
                 if knob in os.environ},
-        # Parallel provenance: how many cores the run could actually
-        # use and whether the core gate was active — a workers=4 row
-        # measured on 1 core (gated onto the serial path) must never
-        # read as a real 4-worker measurement.
-        "cores": _available_cores(),
-        "parallel_gate": _parallel_gate_enabled(),
+        # The cores this run could use: a timing means little without
+        # the hardware it was measured on.
+        "cores": available_cores(),
         "python": platform.python_version(),
         "numpy": _numpy_version(),
         "platform": platform.platform(),

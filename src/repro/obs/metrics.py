@@ -17,16 +17,14 @@ the dependency:
 * :class:`Histogram` — fixed-bucket distribution with count/sum/min/
   max (``similarity_score``).
 
-A snapshot is a plain JSON-serializable dict; snapshots from worker
-processes can be merged back into a registry with
-:meth:`MetricsRegistry.merge`.
+A snapshot is a plain JSON-serializable dict.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -92,10 +90,6 @@ class Counter:
         with self._lock:
             self._value = 0
 
-    def merge(self, other: Mapping[str, Any]) -> None:
-        with self._lock:
-            self._value += int(other.get("value", 0))
-
 
 class Gauge:
     """An instantaneous value (last write wins)."""
@@ -131,11 +125,6 @@ class Gauge:
     def reset(self) -> None:
         with self._lock:
             self._value = 0.0
-
-    def merge(self, other: Mapping[str, Any]) -> None:
-        # Gauges are instantaneous: the merged-in snapshot wins.
-        with self._lock:
-            self._value = float(other.get("value", 0.0))
 
 
 def _estimate_percentile(buckets: Sequence[float], counts: Sequence[int],
@@ -265,30 +254,6 @@ class Histogram:
             self._min = None
             self._max = None
 
-    def merge(self, other: Mapping[str, Any]) -> None:
-        edges = tuple(float(b) for b in other.get("buckets", ()))
-        if edges != self.buckets:
-            raise ConfigurationError(
-                f"cannot merge histogram {self.name!r}: bucket edges "
-                f"{edges} != {self.buckets}")
-        with self._lock:
-            for i, c in enumerate(other.get("counts", ())):
-                self._counts[i] += int(c)
-            self._count += int(other.get("count", 0))
-            self._sum += float(other.get("sum", 0.0))
-            for key, op in (("min", min), ("max", max)):
-                theirs = other.get(key)
-                if theirs is None:
-                    continue
-                mine = getattr(self, f"_{key}")
-                setattr(self, f"_{key}",
-                        float(theirs) if mine is None
-                        else op(mine, float(theirs)))
-
-
-_SNAPSHOT_KINDS = {"counter": Counter, "gauge": Gauge,
-                   "histogram": Histogram}
-
 
 class MetricsRegistry:
     """A named collection of instruments with get-or-create semantics.
@@ -346,20 +311,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for metric in metrics:
             metric.reset()
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker) into this
-        registry, creating missing instruments on the fly."""
-        for name, data in snapshot.items():
-            kind = _SNAPSHOT_KINDS.get(data.get("type", ""))
-            if kind is None:
-                raise ConfigurationError(
-                    f"unknown metric type {data.get('type')!r} "
-                    f"for {name!r}")
-            kwargs = {}
-            if kind is Histogram:
-                kwargs["buckets"] = data.get("buckets", LATENCY_MS_BUCKETS)
-            self._get_or_create(name, kind, **kwargs).merge(data)
 
 
 # ---------------------------------------------------------------------------

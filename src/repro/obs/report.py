@@ -127,9 +127,7 @@ def export_chrome_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
 
     The output loads directly in ``about://tracing`` and Perfetto:
     every span becomes a complete ("X") event with microsecond
-    timestamps, and spans recorded in forked restage workers keep
-    their own pid so each worker renders as a separate process lane —
-    the view that makes parallel-restage overhead visible.
+    timestamps on a lane per process and thread.
 
     Spans from pre-v2 traces carry no timestamps; they are laid out
     sequentially from their parent's start so old files still render.
@@ -150,12 +148,9 @@ def export_chrome_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
     for root in roots:
         cursor += _chrome_events(root, origin, cursor, main_pid, events)
 
-    lanes = sorted({(e["pid"], e["tid"]) for e in events})
-    pids = sorted({pid for pid, _ in lanes})
-    for pid in pids:
-        name = "darklight" if pid in (main_pid, 0) else f"worker-{pid}"
+    for pid in sorted({e["pid"] for e in events}):
         events.append({"name": "process_name", "ph": "M", "pid": pid,
-                       "tid": 0, "args": {"name": name}})
+                       "tid": 0, "args": {"name": "darklight"}})
     metadata = dict(document.get("metadata") or {})
     metadata["trace_version"] = document.get("version")
     return {"traceEvents": events, "displayTimeUnit": "ms",

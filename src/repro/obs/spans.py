@@ -94,9 +94,9 @@ class Span:
         thread.
     ts_us / pid / tid:
         Start timestamp in microseconds on the shared monotonic clock
-        (``time.perf_counter``, comparable across forked workers on
-        Linux), and the process/thread that ran the span — together
-        they place the span on a Chrome-trace timeline lane.
+        (``time.perf_counter``), and the process/thread that ran the
+        span — together they place the span on a Chrome-trace timeline
+        lane.
     resources:
         Resource-profile payload (RSS delta, GC counts, allocation
         stats) attached by :mod:`repro.obs.prof` when profiling is
@@ -175,28 +175,6 @@ class Span:
             out["children"] = [c.to_dict() for c in self.children]
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
-        """Rebuild a finished span from :meth:`to_dict` output.
-
-        Used to graft spans recorded in forked worker processes back
-        into the parent's trace tree (see
-        :class:`~repro.perf.parallel.ParallelExecutor`).
-        """
-        span_obj = cls(str(data.get("name", "?")),
-                       data.get("attributes"))
-        span_obj.wall_ms = float(data.get("wall_ms", 0.0))
-        span_obj.cpu_ms = float(data.get("cpu_ms", 0.0))
-        span_obj.status = str(data.get("status", "ok"))
-        span_obj.error = data.get("error")
-        span_obj.ts_us = float(data.get("ts_us", 0.0))
-        span_obj.pid = int(data.get("pid", 0))
-        span_obj.tid = int(data.get("tid", 0))
-        span_obj.resources = data.get("resources")
-        span_obj.children = [cls.from_dict(c)
-                             for c in data.get("children", ())]
-        return span_obj
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, wall_ms={self.wall_ms:.3f}, "
                 f"children={len(self.children)})")
@@ -254,8 +232,7 @@ class Tracer:
     """Collects spans into per-thread trees under one root list.
 
     Normally the process-wide instance from :func:`get_tracer` is all
-    you need; private tracers exist for tests and for merging traces
-    from subprocesses.
+    you need; private tracers exist for tests.
     """
 
     def __init__(self) -> None:
@@ -318,31 +295,6 @@ class Tracer:
         """The innermost open span on this thread, or ``None``."""
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def attach(self, span_obj: Span) -> None:
-        """Adopt an already-finished span into the live tree.
-
-        The span becomes a child of this thread's innermost open span,
-        or a new root when no span is open — how worker-recorded spans
-        (rebuilt with :meth:`Span.from_dict`) join the parent trace.
-        """
-        stack = self._stack()
-        if stack:
-            stack[-1].children.append(span_obj)
-        else:
-            with self._lock:
-                self._roots.append(span_obj)
-
-    def clear_thread_state(self) -> None:
-        """Forget every thread's active-span stack (and finished roots).
-
-        Forked workers inherit the parent's open spans on the surviving
-        thread's stack; a worker calls this once after fork so its own
-        spans form fresh root trees instead of mutating copied parents.
-        """
-        with self._lock:
-            self._roots.clear()
-        self._local = threading.local()
 
     def roots(self) -> List[Span]:
         """Finished top-level spans (snapshot copy)."""

@@ -35,7 +35,6 @@ from repro.forums.models import Forum
 from repro.obs.logging import get_logger
 from repro.obs.spans import span
 from repro.perf.blocked import resolve_block_size
-from repro.perf.parallel import resolve_workers
 from repro.textproc.cleaning import CleaningConfig, PolishReport, \
     polish_forum
 
@@ -67,31 +66,25 @@ class LinkingPipeline:
     batch_size:
         When set, the RAM-bounded batched procedure of Section IV-J is
         used with this *B* instead of the in-memory linker.
-    workers:
-        Worker processes for the stage-2 restage (``None`` reads
-        ``REPRO_WORKERS``; 1 = serial).  Any worker count produces
-        bit-identical output.
     cache / block_size:
         Profile-caching policy and stage-1 scoring block size,
         forwarded to the linker (see
         :class:`~repro.core.linker.AliasLinker`).
 
-    ``workers`` and ``block_size`` resolve (argument > env > default)
-    and validate here, once, before any forum is polished.
+    ``block_size`` resolves (argument > env > default) and validates
+    here, once, before any forum is polished.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
                  cleaning: CleaningConfig | None = None,
                  weights: FeatureWeights | None = None,
                  batch_size: Optional[int] = None,
-                 workers: Optional[int] = None,
                  cache: bool = True,
                  block_size: Optional[int] = None) -> None:
         self.config = config or PipelineConfig()
         self.cleaning = cleaning or CleaningConfig()
         self.weights = weights or FeatureWeights()
         self.batch_size = batch_size
-        self.workers = resolve_workers(workers)
         self.cache = cache
         self.block_size = resolve_block_size(block_size)
         self.report = PipelineReport()
@@ -114,7 +107,6 @@ class LinkingPipeline:
             "use_lemmatization": self.config.use_lemmatization,
             "min_timestamps": self.config.min_timestamps,
             "batch_size": self.batch_size,
-            "workers": self.workers,
             "cache": self.cache,
             "block_size": self.block_size,
         }
@@ -176,7 +168,6 @@ class LinkingPipeline:
             weights=weights,
             use_activity=self.config.use_activity,
             use_structure=self.config.use_structure,
-            workers=self.workers,
             cache=self.cache,
             block_size=self.block_size,
             **variant,

@@ -51,7 +51,7 @@ format exists to survive.
 
 The round-trip contract is bit-identity:
 ``load(save(fit(world))).link(u)`` equals ``fit(world).link(u)`` for
-both linkers at any worker count, block size or cache setting (the
+both linkers at any block size or cache setting (the
 shared vocabulary is restored in interning order, which pins n-gram
 codes and therefore every downstream tie-break).
 """
@@ -225,8 +225,8 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
     Sections are ``(name, kind, payload)`` with kind ``"json"``
     (payload is any JSON-serializable object) or ``"ndarray"``
     (payload is a numpy array).  Only *semantic* knobs enter the
-    config — perf knobs (workers, block size, cache policy) are
-    load-time choices because they never change the numbers.
+    config — perf knobs (block size, cache policy) are load-time
+    choices because they never change the numbers.
     """
     from repro.core.batch import BatchedLinker
     from repro.core.incremental import IncrementalLinker
@@ -710,8 +710,7 @@ def _rebuild_cache(sections: Dict[str, Any], enabled: bool) -> Any:
 
 def _rebuild_linker(header: Dict[str, Any],
                     sections: Dict[str, Any],
-                    workers: Optional[int], cache: bool,
-                    block_size: Optional[int]) -> Any:
+                    cache: bool, block_size: Optional[int]) -> Any:
     from repro.core.batch import BatchedLinker
     from repro.core.features import FeatureWeights
     from repro.core.linker import AliasLinker
@@ -741,7 +740,6 @@ def _rebuild_linker(header: Dict[str, Any],
         weights=weights,
         use_activity=config["use_activity"],
         use_structure=config.get("use_structure", False),
-        workers=workers,
         cache=profile_cache,
         block_size=block_size,
         **variant,
@@ -774,8 +772,8 @@ def _rebuild_linker(header: Dict[str, Any],
     return linker
 
 
-def load_index(path: Union[str, Path], workers: Optional[int] = None,
-               cache: bool = True, block_size: Optional[int] = None,
+def load_index(path: Union[str, Path], cache: bool = True,
+               block_size: Optional[int] = None,
                mmap: bool = True) -> Any:
     """Load a verified snapshot into a ready-to-link linker.
 
@@ -785,8 +783,8 @@ def load_index(path: Union[str, Path], workers: Optional[int] = None,
     first damaged section.  With *mmap* (default, plain loads only)
     the numpy sections stay memory-mapped views of the file.
 
-    *workers*, *cache* and *block_size* are load-time perf knobs —
-    they never change the scores a loaded linker produces.
+    *cache* and *block_size* are load-time perf knobs — they never
+    change the scores a loaded linker produces.
     """
     path = Path(path)
     with span("snapshot.load", path=str(path)):
@@ -803,8 +801,8 @@ def load_index(path: Union[str, Path], workers: Optional[int] = None,
             entry["name"]: _parse_section(buffer, header, entry)
             for entry in header["sections"]
         }
-        linker = _rebuild_linker(header, sections, workers=workers,
-                                 cache=cache, block_size=block_size)
+        linker = _rebuild_linker(header, sections, cache=cache,
+                                 block_size=block_size)
     _LOADED.inc()
     log.info("snapshot.load", path=str(path), algo=header["algo"],
              n_known=header["config"]["n_known"],

@@ -26,7 +26,7 @@ Step numbering below follows the paper exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import (
@@ -35,6 +35,7 @@ from repro.config import (
     MIN_MESSAGE_WORDS,
 )
 from repro.forums.models import Forum, Message, UserRecord
+from repro.obs.metrics import counter
 from repro.textproc import patterns
 from repro.textproc.langdetect import LanguageDetector, default_detector
 from repro.textproc.tokenizer import distinct_ratio, words
@@ -102,6 +103,14 @@ class PolishReport:
     def as_dict(self) -> Dict[str, int]:
         """All counters as a plain dict (for logging / reports)."""
         return dict(self.__dict__)
+
+
+#: One counter per :class:`PolishReport` field
+#: (``polish_dropped_short_total``, ...), bumped once per polished
+#: forum — never per message — so drop reasons show in every metrics
+#: snapshot without a trace.
+_REPORT_COUNTERS = {f.name: counter(f"polish_{f.name}_total")
+                    for f in fields(PolishReport)}
 
 
 class MessagePolisher:
@@ -235,6 +244,8 @@ def polish_forum(forum: Forum, config: CleaningConfig | None = None,
             polished.users[alias] = cleaned
     polished.threads = dict(forum.threads)
     report.kept_users = polished.n_users
+    for name, value in report.as_dict().items():
+        _REPORT_COUNTERS[name].inc(value)
     return polished, report
 
 

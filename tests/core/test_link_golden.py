@@ -1,8 +1,10 @@
 """Golden gate on linking output.
 
 Pins the sha256 of the compact JSON of ``LinkResult.to_dict()`` for the
-plain two-stage linker and the batched variant (``batch_size=11``) on
-two inputs built from the session ``world`` (``small_world(seed=7)``):
+plain two-stage linker, the linker without stage 1
+(``use_reduction=False``, which interns each unknown's words only in
+the restage) and the batched variant (``batch_size=11``) on two inputs
+built from the session ``world`` (``small_world(seed=7)``):
 
 * ``dm-tmg`` — the refined ``dm`` forum as the known set, the refined
   ``tmg`` forum as the unknowns (the Dark-Open scenario);
@@ -33,11 +35,16 @@ GOLDEN = {
         "00c6105ae7239d449044916b6f728e2980bd1e698eb07938122892a8a6bbed58",
     ("reddit", "batched"):
         "6422797564c5bfe921558ea13aa8b319031c84e280a75e0e9656fb02162aca68",
+    ("dm-tmg", "unreduced"):
+        "0ba208901badb214c66eb88af09ab194ab4b639219ce761ebd892994bc2a81ce",
+    ("reddit", "unreduced"):
+        "bc80fc19a59fd2463d70037a72322797cb30ff43bf20d4211c16fc6f416a5d69",
 }
 
 LINKERS = {
     "plain": AliasLinker,
     "batched": lambda: BatchedLinker(batch_size=11),
+    "unreduced": lambda: AliasLinker(use_reduction=False),
 }
 
 

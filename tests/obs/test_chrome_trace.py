@@ -1,9 +1,8 @@
-"""Chrome Trace Event export: schema, worker lanes, CLI wiring."""
+"""Chrome Trace Event export: schema and CLI wiring."""
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 
@@ -22,29 +21,14 @@ from repro.obs.spans import (
     reset_trace,
     span,
 )
-from repro.perf.parallel import GATE_ENV, ParallelExecutor, \
-    shutdown_pools
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def _span_task(state, item):
-    """``map_shared`` task: one span named ``state["name"]``."""
-    with span(state["name"], item=item):
-        time.sleep(state["sleep"])
-    return item
 
 
 @pytest.fixture(autouse=True)
-def clean_tracer(monkeypatch):
-    # Worker-lane tests assert actual forking: keep the available-core
-    # gate out of the way on single-core CI boxes.
-    monkeypatch.setenv(GATE_ENV, "0")
+def clean_tracer():
     reset_trace()
     yield
     disable_tracing()
     reset_trace()
-    shutdown_pools()
 
 
 def _assert_valid_chrome(document):
@@ -134,49 +118,6 @@ class TestExport:
         _assert_valid_chrome(document)
         assert [e for e in document["traceEvents"]
                 if e["ph"] == "X"] == []
-
-
-@pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
-class TestWorkerLanes:
-    def test_two_workers_render_as_distinct_lanes(self, tmp_path):
-        enable_tracing()
-        with span("lane.restage"):
-            ParallelExecutor(workers=2).map_shared(
-                _span_task, range(24),
-                state={"name": "lane.task", "sleep": 0.005})
-        path = write_chrome_trace(tmp_path / "workers.json")
-        document = json.loads(path.read_text(encoding="utf-8"))
-        _assert_valid_chrome(document)
-        task_events = [e for e in document["traceEvents"]
-                       if e["ph"] == "X" and e["name"] == "lane.task"]
-        assert len(task_events) == 24
-        worker_lanes = {(e["pid"], e["tid"]) for e in task_events}
-        worker_pids = {pid for pid, _ in worker_lanes}
-        # Acceptance: a --workers 2 run produces >= 2 distinct worker
-        # lanes, none of them the parent's.
-        assert os.getpid() not in worker_pids
-        assert len(worker_pids) >= 2
-        lane_names = {e["args"]["name"]
-                      for e in document["traceEvents"]
-                      if e["ph"] == "M"}
-        for pid in worker_pids:
-            assert f"worker-{pid}" in lane_names
-
-    def test_worker_timestamps_share_the_parent_clock(self):
-        enable_tracing()
-        with span("clock.parent"):
-            ParallelExecutor(workers=2).map_shared(
-                _span_task, range(8),
-                state={"name": "clock.task", "sleep": 0.002})
-        document = export_chrome_trace(build_trace_document())
-        events = {e["name"]: e for e in document["traceEvents"]
-                  if e["ph"] == "X"}
-        parent = events["clock.parent"]
-        for event in document["traceEvents"]:
-            if event["ph"] == "X" and event["name"] == "clock.task":
-                assert event["ts"] >= parent["ts"]
-                assert (event["ts"] + event["dur"]
-                        <= parent["ts"] + parent["dur"] + 1000.0)
 
 
 class TestCliChromeTrace:

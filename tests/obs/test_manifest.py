@@ -12,6 +12,7 @@ from repro.obs.manifest import (
     ENV_KNOBS,
     MANIFEST_VERSION,
     TIMING_FIELDS,
+    available_cores,
     build_manifest,
     file_digest,
     git_revision,
@@ -73,6 +74,10 @@ class TestContents:
         assert manifest["platform"]
         assert manifest["created_at"]
 
+    def test_available_cores_positive(self):
+        assert available_cores() >= 1
+        assert build_manifest()["cores"] == available_cores()
+
     def test_input_digest_matches_sha256(self, input_file):
         manifest = build_manifest(inputs={"known": input_file})
         entry = manifest["inputs"]["known"]
@@ -90,8 +95,8 @@ class TestContents:
         for knob in ENV_KNOBS:
             monkeypatch.delenv(knob, raising=False)
         assert build_manifest()["env"] == {}
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert build_manifest()["env"] == {"REPRO_WORKERS": "4"}
+        monkeypatch.setenv("REPRO_BLOCK_SIZE", "512")
+        assert build_manifest()["env"] == {"REPRO_BLOCK_SIZE": "512"}
 
     def test_extra_fields_merged(self):
         manifest = build_manifest(extra={"bench": "linking"})

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.metrics: instruments, snapshot/reset/merge."""
+"""Tests for repro.obs.metrics: instruments, snapshot/reset."""
 
 from __future__ import annotations
 
@@ -34,12 +34,6 @@ class TestCounter:
         c.reset()
         assert c.value == 0
 
-    def test_merge_adds(self):
-        c = Counter("c")
-        c.inc(2)
-        c.merge({"type": "counter", "value": 5})
-        assert c.value == 7
-
     def test_thread_safety(self):
         c = Counter("c")
 
@@ -62,12 +56,6 @@ class TestGauge:
         g.inc(2.5)
         g.dec(0.5)
         assert g.value == 12.0
-
-    def test_merge_takes_incoming_value(self):
-        g = Gauge("g")
-        g.set(1.0)
-        g.merge({"type": "gauge", "value": 9.0})
-        assert g.value == 9.0
 
 
 class TestHistogramBuckets:
@@ -202,36 +190,3 @@ class TestRegistry:
         r.reset()
         assert r.counter("c") is c
         assert c.value == 0
-
-    def test_merge_roundtrip(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(2)
-        a.histogram("h", buckets=(1, 2)).observe(1.5)
-        b = MetricsRegistry()
-        b.counter("c").inc(3)
-        b.histogram("h", buckets=(1, 2)).observe(0.5)
-        b.merge(a.snapshot())
-        snap = b.snapshot()
-        assert snap["c"]["value"] == 5
-        assert snap["h"]["count"] == 2
-        assert snap["h"]["counts"] == [1, 1, 0]
-
-    def test_merge_creates_missing_instruments(self):
-        a = MetricsRegistry()
-        a.gauge("only_in_a").set(7.0)
-        b = MetricsRegistry()
-        b.merge(a.snapshot())
-        assert b.gauge("only_in_a").value == 7.0
-
-    def test_merge_histogram_bucket_mismatch_raises(self):
-        a = MetricsRegistry()
-        a.histogram("h", buckets=(1, 2)).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("h", buckets=(1, 3))
-        with pytest.raises(ConfigurationError):
-            b.merge(a.snapshot())
-
-    def test_merge_unknown_type_raises(self):
-        r = MetricsRegistry()
-        with pytest.raises(ConfigurationError):
-            r.merge({"m": {"type": "summary", "value": 1}})

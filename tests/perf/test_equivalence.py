@@ -1,9 +1,9 @@
 """Bit-identity of linking output across every perf configuration.
 
-The perf subsystem's contract is that caching, parallelism and blocked
-scoring are pure mechanics: ``link()`` output is **identical** — not
-approximately equal — whether the cache is on or off, at any worker
-count, at any block size, and under checkpoint/resume.  Everything here
+The perf subsystem's contract is that caching and blocked scoring are
+pure mechanics: ``link()`` output is **identical** — not approximately
+equal — whether the cache is on or off, at any block size, across
+repeated links and refits, and under checkpoint/resume.  Everything here
 compares full ``LinkResult.to_dict()`` payloads for exact equality.
 """
 
@@ -11,8 +11,6 @@ import pytest
 
 from repro.core.batch import BatchedLinker
 from repro.core.linker import AliasLinker
-from repro.obs.metrics import get_registry
-from repro.perf.parallel import GATE_ENV, shutdown_pools
 
 
 def _run(dataset, **kwargs):
@@ -33,16 +31,6 @@ class TestAliasLinkerEquivalence:
         assert _run(reddit_alter_egos,
                     cache=False).to_dict() == baseline
 
-    def test_workers_4_is_bit_identical(self, reddit_alter_egos,
-                                        baseline):
-        assert _run(reddit_alter_egos,
-                    workers=4).to_dict() == baseline
-
-    def test_workers_4_without_cache_is_bit_identical(
-            self, reddit_alter_egos, baseline):
-        assert _run(reddit_alter_egos, workers=4,
-                    cache=False).to_dict() == baseline
-
     def test_tiny_blocks_are_bit_identical(self, reddit_alter_egos,
                                            baseline):
         assert _run(reddit_alter_egos,
@@ -51,7 +39,7 @@ class TestAliasLinkerEquivalence:
     def test_everything_at_once_is_bit_identical(self,
                                                  reddit_alter_egos,
                                                  baseline):
-        assert _run(reddit_alter_egos, workers=4, cache=False,
+        assert _run(reddit_alter_egos, cache=False,
                     block_size=5).to_dict() == baseline
 
 
@@ -71,11 +59,6 @@ class TestStage1Equivalence:
         assert _run(reddit_alter_egos,
                     block_size=block_size).to_dict() == baseline
 
-    def test_blocks_with_workers_are_bit_identical(
-            self, reddit_alter_egos, baseline):
-        assert _run(reddit_alter_egos, block_size=7,
-                    workers=2).to_dict() == baseline
-
     def test_link_scores_match_rescore(self, reddit_alter_egos):
         # link()'s block-diagonal restage scores every pair exactly as
         # the single-pair reference does.
@@ -90,59 +73,42 @@ class TestStage1Equivalence:
                 linker.rescore(unknown, candidates.documents)
 
 
-class TestPersistentPool:
-    """The restage pool survives across link() calls and refits."""
+class TestRepeatedLinks:
+    """A fitted linker links the same way on every call and refit."""
 
-    @pytest.fixture(autouse=True)
-    def gate_off(self, monkeypatch):
-        monkeypatch.setenv(GATE_ENV, "0")
-        shutdown_pools()
-        yield
-        shutdown_pools()
-
-    @staticmethod
-    def _counter(name):
-        return get_registry().snapshot().get(name, {}).get("value", 0)
-
-    def test_pool_reused_across_links(self, reddit_alter_egos,
-                                      baseline):
-        linker = AliasLinker(threshold=0.4, workers=2)
+    def test_repeat_link_is_bit_identical(self, reddit_alter_egos,
+                                          baseline):
+        linker = AliasLinker(threshold=0.4)
         linker.fit(reddit_alter_egos.originals)
         first = linker.link(reddit_alter_egos.alter_egos)
-        reuses_before = self._counter("parallel_pool_reuse_total")
-        pools_before = self._counter("parallel_pools_total")
         second = linker.link(reddit_alter_egos.alter_egos)
-        # Second link forked nothing new: the warm pool served it.
-        assert self._counter("parallel_pools_total") == pools_before
-        assert self._counter("parallel_pool_reuse_total") \
-            > reuses_before
         assert first.to_dict() == baseline
         assert second.to_dict() == baseline
 
-    def test_refit_invalidates_pool(self, reddit_alter_egos):
-        linker = AliasLinker(threshold=0.4, workers=2)
+    def test_refit_links_like_a_fresh_fit(self, reddit_alter_egos):
+        linker = AliasLinker(threshold=0.4)
         linker.fit(reddit_alter_egos.originals)
         linker.link(reddit_alter_egos.alter_egos)
-        pools_before = self._counter("parallel_pools_total")
-        # Refit bumps the state version: stale forked images of the
-        # old corpus must never serve the new one.
-        linker.fit(reddit_alter_egos.originals[:-1])
-        linker.link(reddit_alter_egos.alter_egos)
-        assert self._counter("parallel_pools_total") > pools_before
+        # Refitting on a smaller corpus must leave nothing of the old
+        # one behind: the result equals a linker fitted only once.
+        smaller = reddit_alter_egos.originals[:-1]
+        linker.fit(smaller)
+        fresh = AliasLinker(threshold=0.4).fit(smaller)
+        assert linker.link(reddit_alter_egos.alter_egos).to_dict() == \
+            fresh.link(reddit_alter_egos.alter_egos).to_dict()
 
 
 class TestResumeEquivalence:
-    def test_resumed_parallel_equals_uninterrupted_serial(
-            self, reddit_alter_egos, baseline, tmp_path):
+    def test_resumed_equals_uninterrupted(self, reddit_alter_egos,
+                                          baseline, tmp_path):
         checkpoint = tmp_path / "link.ckpt"
-        # Interrupted run: a parallel worker pool finishes only the
-        # first few unknowns before the "crash".
-        partial = AliasLinker(threshold=0.4, workers=4)
+        # Interrupted run: only the first few unknowns finish before
+        # the "crash".
+        partial = AliasLinker(threshold=0.4)
         partial.fit(reddit_alter_egos.originals)
         partial.link(reddit_alter_egos.alter_egos[:3],
                      checkpoint=checkpoint)
-        # Resume with a different worker count: same bits.
-        resumed = AliasLinker(threshold=0.4, workers=2)
+        resumed = AliasLinker(threshold=0.4)
         resumed.fit(reddit_alter_egos.originals)
         result = resumed.link(reddit_alter_egos.alter_egos,
                               checkpoint=checkpoint, resume=True)
@@ -155,7 +121,7 @@ class TestResumeEquivalence:
         first.fit(reddit_alter_egos.originals)
         first.link(reddit_alter_egos.alter_egos[:2],
                    checkpoint=checkpoint)
-        second = AliasLinker(threshold=0.4, workers=3)
+        second = AliasLinker(threshold=0.4)
         second.fit(reddit_alter_egos.originals)
         result = second.link(reddit_alter_egos.alter_egos,
                              checkpoint=checkpoint, resume=True)
@@ -168,13 +134,6 @@ class TestBatchedEquivalence:
         linker = BatchedLinker(batch_size=12, threshold=0.4)
         linker.fit(reddit_alter_egos.originals)
         return linker.link(reddit_alter_egos.alter_egos).to_dict()
-
-    def test_workers_4_is_bit_identical(self, reddit_alter_egos,
-                                        batched_baseline):
-        linker = BatchedLinker(batch_size=12, threshold=0.4, workers=4)
-        linker.fit(reddit_alter_egos.originals)
-        result = linker.link(reddit_alter_egos.alter_egos)
-        assert result.to_dict() == batched_baseline
 
     def test_cache_off_is_bit_identical(self, reddit_alter_egos,
                                         batched_baseline):

@@ -63,10 +63,10 @@ class TestRoundTrip:
             _result_json(direct)
 
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 2},
+        {"block_size": 1},
         {"block_size": 8},
         {"cache": False},
-        {"workers": 3, "block_size": 16, "cache": True},
+        {"block_size": 16, "cache": True},
     ])
     def test_load_variations_bit_identical(self, corpus, tmp_path,
                                            kwargs):

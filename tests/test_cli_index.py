@@ -154,6 +154,17 @@ class TestLinkWithIndex:
                   "--index", str(snapshot),
                   "--unknown", str(world_dir / "tmg.jsonl")])
 
+    def test_batch_size_with_index_is_a_usage_error(self, world_dir,
+                                                    snapshot, capsys):
+        # The snapshot fixes the procedure; a --batch-size it would
+        # silently ignore is refused instead.
+        with pytest.raises(SystemExit) as exc:
+            main(["link", "--index", str(snapshot),
+                  "--unknown", str(world_dir / "tmg.jsonl"),
+                  "--batch-size", "3"])
+        assert exc.value.code == 2
+        assert "index build --batch-size" in capsys.readouterr().err
+
     def test_neither_source_rejected(self, world_dir):
         with pytest.raises(SystemExit):
             main(["link",
@@ -189,12 +200,10 @@ class TestManifest:
         code = main(["--trace", str(trace), "link",
                      "--index", str(snapshot),
                      "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--workers", "2", "--no-cache",
-                     "--block-size", "512"])
+                     "--no-cache", "--block-size", "512"])
         capsys.readouterr()
         assert code == 0
         config = json.loads(manifest_path_for(trace).read_text())["config"]
-        assert config["workers"] == 2
         assert config["cache"] is False
         assert config["block_size"] == 512
         assert config["index"] == str(snapshot)

@@ -82,8 +82,9 @@ class TestLinkCommand:
         assert code == 1
         assert "error:" in captured.err
 
-    def test_bad_workers_rejected_before_polishing(self, world_dir,
-                                                   capsys, monkeypatch):
+    def test_bad_block_size_rejected_before_polishing(self, world_dir,
+                                                      capsys,
+                                                      monkeypatch):
         from repro.pipeline import LinkingPipeline
 
         prepared = []
@@ -93,9 +94,9 @@ class TestLinkCommand:
         code = main(["link",
                      "--known", str(world_dir / "dm.jsonl"),
                      "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--workers", "0"])
+                     "--block-size", "0"])
         assert code == 1
-        assert "workers" in capsys.readouterr().err
+        assert "block_size" in capsys.readouterr().err
         assert prepared == []
 
     def test_link_impossible_threshold_outputs_nothing(self, world_dir,

@@ -75,16 +75,12 @@ class TestLinkForums:
 
 class TestPerfKnobs:
     def test_manifest_records_env_resolved_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_BLOCK_SIZE", "64")
         pipeline = LinkingPipeline()
-        config = pipeline.manifest_config()
-        assert config["workers"] == 3
-        assert config["block_size"] == 64
-        linker = pipeline._make_linker()
-        assert (linker.workers, linker.block_size) == (3, 64)
+        assert pipeline.manifest_config()["block_size"] == 64
+        assert pipeline._make_linker().block_size == 64
 
-    @pytest.mark.parametrize("knob", ["workers", "block_size"])
+    @pytest.mark.parametrize("knob", ["block_size"])
     def test_bad_knob_rejected_at_construction(self, knob):
         with pytest.raises(ConfigurationError, match=knob):
             LinkingPipeline(**{knob: 0})

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.forums.models import Forum, Message, UserRecord
+from repro.obs.metrics import get_registry
 from repro.textproc.cleaning import (
     CleaningConfig,
     MessagePolisher,
+    PolishReport,
     is_bot_alias,
     dedup_key,
     polish_forum,
@@ -196,3 +198,22 @@ class TestPolishForum:
         raw = world.forums["reddit"]
         assert polished_reddit.n_messages < raw.n_messages
         assert polished_reddit.n_users <= raw.n_users
+
+    def test_report_counters_sum_reports(self, world):
+        # One increment per forum and field: the counters' deltas over
+        # polishing every forum equal the field-wise sum of the reports.
+        def counters():
+            snapshot = get_registry().snapshot()
+            return {name: snapshot[f"polish_{name}_total"]["value"]
+                    for name in PolishReport().as_dict()}
+
+        before = counters()
+        expected = dict.fromkeys(before, 0)
+        for name in sorted(world.forums):
+            _, report = polish_forum(world.forums[name])
+            for field, value in report.as_dict().items():
+                expected[field] += value
+        after = counters()
+        assert {name: after[name] - before[name] for name in after} \
+            == expected
+        assert expected["input_messages"] > expected["kept_messages"] > 0
