@@ -8,10 +8,8 @@ Six subcommands cover the end-to-end workflow of the paper:
   egos (Section IV-E);
 * ``link`` — link the aliases of one forum against another
   (Sections IV-I/IV-J); ``--checkpoint FILE``/``--resume`` make long
-  runs crash-safe (see ``docs/robustness.md``),
-  ``--no-cache``/``--block-size`` tune the perf subsystem (see
-  ``docs/performance.md``); ``--index SNAP`` links against a prebuilt
-  snapshot instead of refitting;
+  runs crash-safe (see ``docs/robustness.md``); ``--index SNAP``
+  links against a prebuilt snapshot instead of refitting;
 * ``index`` — ``build``/``verify``/``info`` for crash-safe persistent
   index snapshots: fit once, link many times from a
   checksum-verified on-disk image;
@@ -138,19 +136,16 @@ def _cmd_link(args: argparse.Namespace) -> int:
     if args.index is not None:
         from repro.resilience.snapshot import load_index
 
-        linker = load_index(args.index, cache=not args.no_cache,
-                            block_size=args.block_size)
+        linker = load_index(args.index)
         if args.threshold is not None:
             linker.threshold = args.threshold
         threshold = linker.threshold
         # The pipeline only refines the unknowns here, but it also
         # states the run's knobs in the manifest: record the loaded
-        # linker's resolved values, not the pipeline defaults.
+        # linker's values, not the pipeline defaults.
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=getattr(linker, "batch_size", None),
-            cache=linker.cache.enabled,
-            block_size=linker.block_size,
         )
         unknown_docs = pipeline.prepare_forum(unknown, is_known=False)
         refined_known = len(linker._known or ())
@@ -166,8 +161,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=threshold),
             batch_size=args.batch_size,
-            cache=not args.no_cache,
-            block_size=args.block_size,
         )
         args.manifest_config = pipeline.manifest_config()
         known_docs = pipeline.prepare_forum(known, is_known=True)
@@ -210,7 +203,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         pipeline = LinkingPipeline(
             PipelineConfig(threshold=args.threshold),
             batch_size=args.batch_size,
-            cache=not args.no_cache,
         )
         known = pipeline.prepare_forum(forum, is_known=True)
         if not known:
@@ -486,13 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--resume", action="store_true",
                       help="skip unknowns already completed in "
                            "--checkpoint FILE")
-    link.add_argument("--no-cache", action="store_true",
-                      help="disable the per-document profile cache "
-                           "(same results, more recomputation)")
-    link.add_argument("--block-size", type=int, default=None,
-                      metavar="ROWS",
-                      help="known aliases scored per stage-1 block "
-                           "(default from REPRO_BLOCK_SIZE, else 4096)")
     link.set_defaults(func=_cmd_link)
 
     index = sub.add_parser(
@@ -509,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=PAPER_THRESHOLD)
     ibuild.add_argument("--batch-size", type=int, default=None,
                         help="snapshot a IV-J batched linker instead")
-    ibuild.add_argument("--no-cache", action="store_true")
     ibuild.set_defaults(func=_cmd_index)
     iverify = isub.add_parser(
         "verify", help="check every section checksum of a snapshot")

@@ -30,7 +30,6 @@ from repro.core.documents import (
     refine_forum,
 )
 from repro.core.features import (
-    DocumentEncoder,
     FeatureExtractor,
     FeatureWeights,
     frequency_features,
@@ -73,7 +72,6 @@ __all__ = [
     "documents_by_id",
     "normalize_message",
     "refine_forum",
-    "DocumentEncoder",
     "FeatureExtractor",
     "FeatureWeights",
     "frequency_features",

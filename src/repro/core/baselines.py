@@ -29,8 +29,8 @@ from scipy import sparse
 
 from repro.core import ngrams
 from repro.core.documents import AliasDocument
-from repro.core.features import (DocumentEncoder, FeatureExtractor,
-                                 counts_matrix, fit_counts_matrix)
+from repro.core.features import (FeatureExtractor, counts_matrix,
+                                 fit_counts_matrix)
 from repro.core.linker import LinkResult, Match
 from repro.core.similarity import cosine_similarity
 from repro.core.tfidf import l2_normalize_rows
@@ -149,7 +149,6 @@ class KoppelBaseline:
         self._extractor = FeatureExtractor(
             budget=self.budget,
             use_activity=self.use_activity,
-            encoder=DocumentEncoder(),
         )
         self._matrix = self._extractor.fit_transform(self._known)
         return self

@@ -23,7 +23,7 @@ bench ablates the activity block by zeroing its weight).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -113,43 +113,6 @@ def frequency_features(text: str) -> np.ndarray:
     return counts / total
 
 
-class DocumentEncoder:
-    """Per-document n-gram profiles over a shared word vocab.
-
-    Both pipeline stages re-extract features on different document
-    subsets; the encoder guarantees tokenized text is only encoded once
-    per document.  Since the perf subsystem landed the encoder is a
-    thin facade over :class:`repro.perf.cache.ProfileCache`, which owns
-    the memoization (and its hit/miss/bytes telemetry); pass a shared
-    cache to make several extractors — or several linkers — reuse one
-    set of profiles.
-    """
-
-    def __init__(self, cache: "ProfileCache | None" = None) -> None:
-        self.cache = cache if cache is not None else ProfileCache()
-
-    @property
-    def vocab(self) -> ngrams.WordVocab:
-        """The shared word-interning table (lives on the cache)."""
-        return self.cache.vocab
-
-    def word_profile(self, document: AliasDocument) -> ngrams.CodeCounts:
-        """Word 1–3-gram counts of *document* (cached)."""
-        return self.cache.word_profile(document)
-
-    def char_profile(self, document: AliasDocument) -> ngrams.CodeCounts:
-        """Character 1–5-gram counts of *document* (cached)."""
-        return self.cache.char_profile(document)
-
-    def freq_features(self, document: AliasDocument) -> np.ndarray:
-        """Frequency features of *document* (cached)."""
-        return self.cache.freq_features(document)
-
-    def drop(self, doc_ids: Iterable[str]) -> None:
-        """Forget cached profiles (memory control for huge corpora)."""
-        self.cache.drop(doc_ids)
-
-
 def counts_matrix(profiles: Sequence[ngrams.CodeCounts],
                   selected: np.ndarray) -> sparse.csr_matrix:
     """Stack per-document counts projected onto *selected* into a CSR
@@ -204,21 +167,22 @@ class FeatureExtractor:
         (:mod:`repro.core.structure`).  Off by default: the default
         vector is bit-identical to the paper configuration.  Documents
         without a structure vector get a zero block.
-    encoder:
-        Shared :class:`DocumentEncoder`; a private one is created when
-        omitted.
+    cache:
+        Shared :class:`~repro.perf.cache.ProfileCache`; a private one
+        is created when omitted.  Pass one cache to several extractors
+        (or linkers) to compute each document's profiles once.
     """
 
     def __init__(self, budget: FeatureBudget,
                  weights: FeatureWeights | None = None,
                  use_activity: bool = True,
                  use_structure: bool = False,
-                 encoder: DocumentEncoder | None = None) -> None:
+                 cache: ProfileCache | None = None) -> None:
         self.budget = budget
         self.weights = weights or FeatureWeights()
         self.use_activity = use_activity
         self.use_structure = use_structure
-        self.encoder = encoder or DocumentEncoder()
+        self.cache = cache if cache is not None else ProfileCache()
         self._selected_words: Optional[np.ndarray] = None
         self._selected_chars: Optional[np.ndarray] = None
         self._tfidf: Optional[TfidfModel] = None
@@ -244,10 +208,10 @@ class FeatureExtractor:
             raise ConfigurationError("cannot fit on an empty corpus")
         with span("features.fit", n_documents=len(documents)):
             self._selected_words, word_matrix = fit_counts_matrix(
-                [self.encoder.word_profile(d) for d in documents],
+                [self.cache.word_profile(d) for d in documents],
                 self.budget.word_ngrams)
             self._selected_chars, char_matrix = fit_counts_matrix(
-                [self.encoder.char_profile(d) for d in documents],
+                [self.cache.char_profile(d) for d in documents],
                 self.budget.char_ngrams)
             counts = sparse.csr_matrix(
                 sparse.hstack([word_matrix, char_matrix], format="csr"))
@@ -259,8 +223,8 @@ class FeatureExtractor:
 
     def _text_counts(self, documents: Sequence[AliasDocument],
                      ) -> sparse.csr_matrix:
-        word_profiles = [self.encoder.word_profile(d) for d in documents]
-        char_profiles = [self.encoder.char_profile(d) for d in documents]
+        word_profiles = [self.cache.word_profile(d) for d in documents]
+        char_profiles = [self.cache.char_profile(d) for d in documents]
         word_matrix = counts_matrix(word_profiles, self._selected_words)
         char_matrix = counts_matrix(char_profiles, self._selected_chars)
         return sparse.csr_matrix(
@@ -288,9 +252,9 @@ class FeatureExtractor:
                          counts: sparse.csr_matrix) -> sparse.csr_matrix:
         text = self._tfidf.transform(counts, copy=False)
         blocks: List[sparse.spmatrix] = [text * self.weights.text]
-        cache = self.encoder.cache
+        cache = self.cache
         if self.weights.frequencies > 0:
-            freq = np.vstack([self.encoder.freq_features(d)
+            freq = np.vstack([cache.freq_features(d)
                               for d in documents])
             freq = l2_normalize_rows(sparse.csr_matrix(freq), copy=False)
             blocks.append(freq * self.weights.frequencies)

@@ -21,10 +21,9 @@ tells callers when a refit is due.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from repro.core.documents import AliasDocument
-from repro.core.features import DocumentEncoder
 from repro.core.linker import AliasLinker, check_document
 from repro.errors import ConfigurationError, NotFittedError
 from repro.obs.metrics import counter
@@ -58,14 +57,14 @@ class IncrementalLinker(AliasLinker):
     """
 
     def __init__(self, *args: Any, refit_after: int = 100,
-                 cache: Union[bool, ProfileCache] = True,
+                 cache: Optional[ProfileCache] = None,
                  **kwargs: Any) -> None:
         if refit_after < 1:
             raise ConfigurationError(
                 f"refit_after must be >= 1, got {refit_after}")
         super().__init__(*args, cache=cache, **kwargs)
         self.refit_after = refit_after
-        self._shared_cache = isinstance(cache, ProfileCache)
+        self._shared_cache = cache is not None
         self._added_since_fit = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -89,8 +88,7 @@ class IncrementalLinker(AliasLinker):
         if not self._shared_cache:
             # Word ids follow interning order; a fresh cache makes a
             # refit intern exactly as a fresh linker's fit would.
-            self.cache = ProfileCache(enabled=self.cache.enabled)
-            self.encoder = DocumentEncoder(cache=self.cache)
+            self.cache = ProfileCache()
             self.reducer = self._make_reducer(self.k)
         super().fit(known)
         self._added_since_fit = 0

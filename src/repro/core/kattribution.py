@@ -21,11 +21,11 @@ from scipy import sparse
 
 from repro.config import DEFAULT_K, SPACE_REDUCTION_FEATURES, FeatureBudget
 from repro.core.documents import AliasDocument
-from repro.core.features import DocumentEncoder, FeatureExtractor, \
-    FeatureWeights
+from repro.core.features import FeatureExtractor, FeatureWeights
 from repro.core.similarity import cosine_similarity, rank_of
 from repro.errors import ConfigurationError, NotFittedError
-from repro.perf.blocked import blocked_top_k, resolve_block_size
+from repro.perf.blocked import blocked_top_k
+from repro.perf.cache import ProfileCache
 from repro.obs.metrics import counter
 from repro.obs.spans import span
 
@@ -75,15 +75,8 @@ class KAttributor:
     use_structure:
         Append the reply-graph/thread-structure block (off by
         default; see :mod:`repro.core.structure`).
-    encoder:
-        Optional shared :class:`DocumentEncoder`.
-    block_size:
-        Known-corpus rows scored per block during :meth:`reduce`
-        (memory bound for the stage-1 similarity matrix); ``None``
-        resolves through ``REPRO_BLOCK_SIZE`` and the default.
-        Resolved exactly once, here — ``self.block_size`` is always a
-        concrete positive int afterwards (manifests record it, and a
-        mid-run environment change cannot skew a sweep).
+    cache:
+        Optional shared :class:`~repro.perf.cache.ProfileCache`.
     """
 
     def __init__(self, k: int = DEFAULT_K,
@@ -91,18 +84,16 @@ class KAttributor:
                  weights: FeatureWeights | None = None,
                  use_activity: bool = True,
                  use_structure: bool = False,
-                 encoder: DocumentEncoder | None = None,
-                 block_size: Optional[int] = None) -> None:
+                 cache: ProfileCache | None = None) -> None:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         self.k = k
-        self.block_size = resolve_block_size(block_size)
         self.extractor = FeatureExtractor(
             budget=budget,
             weights=weights,
             use_activity=use_activity,
             use_structure=use_structure,
-            encoder=encoder,
+            cache=cache,
         )
         self._known: Optional[List[AliasDocument]] = None
         self._known_matrix: Optional[sparse.csr_matrix] = None
@@ -157,8 +148,7 @@ class KAttributor:
             # to top_k over the one-shot scores, and a corpus within
             # one block is exactly that one-shot computation.
             indices, values = blocked_top_k(
-                unknown_matrix, self._known_matrix, self.k,
-                self.block_size)
+                unknown_matrix, self._known_matrix, self.k)
             results: List[Candidates] = []
             for row, unknown in enumerate(unknowns):
                 docs = tuple(self._known[int(i)] for i in indices[row])

@@ -19,8 +19,7 @@ corpus it was diluted across thousands of users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -33,11 +32,7 @@ from repro.config import (
     FeatureBudget,
 )
 from repro.core.documents import AliasDocument
-from repro.core.features import (
-    DocumentEncoder,
-    FeatureExtractor,
-    FeatureWeights,
-)
+from repro.core.features import FeatureExtractor, FeatureWeights
 from repro.core.kattribution import Candidates, KAttributor
 from repro.core.similarity import cosine_similarity
 from repro.errors import ConfigurationError, DatasetError, NotFittedError
@@ -45,7 +40,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import SCORE_BUCKETS, SIZE_BUCKETS, counter, \
     histogram
 from repro.obs.spans import span
-from repro.perf.blocked import resolve_block_size
 from repro.perf.cache import ProfileCache
 from repro.perf.parallel import ParallelExecutor
 from repro.resilience.checkpoint import CheckpointStore, open_store
@@ -365,14 +359,9 @@ class AliasLinker:
         *every* known alias with the final feature space — the
         "without reduction" rows of Table VI / Fig. 5.
     cache:
-        ``True`` (default) computes every document's raw profiles
-        exactly once; ``False`` recomputes on every use (same numbers,
-        more work).  Pass a :class:`~repro.perf.cache.ProfileCache`
-        instance to share profiles across linkers.
-    block_size:
-        Known-corpus rows scored per stage-1 block (memory bound);
-        ``None`` resolves through ``REPRO_BLOCK_SIZE``.  Resolved once
-        at construction; ``self.block_size`` is always a concrete int.
+        The :class:`~repro.perf.cache.ProfileCache` every stage reads
+        document profiles from; a private one is created when omitted.
+        Pass one instance to share profiles across linkers.
     """
 
     def __init__(self, k: int = DEFAULT_K,
@@ -383,8 +372,7 @@ class AliasLinker:
                  use_activity: bool = True,
                  use_structure: bool = False,
                  use_reduction: bool = True,
-                 cache: Union[bool, ProfileCache] = True,
-                 block_size: Optional[int] = None) -> None:
+                 cache: Optional[ProfileCache] = None) -> None:
         if k < 1:
             raise ConfigurationError(
                 f"k must be a positive integer, got {k}")
@@ -399,29 +387,20 @@ class AliasLinker:
         self.use_activity = use_activity
         self.use_structure = use_structure
         self.use_reduction = use_reduction
-        # The block size resolves once, here (argument > env > default),
-        # so manifests and snapshots read a concrete value and a mid-run
-        # environment change cannot skew a sweep.
-        self.block_size = resolve_block_size(block_size)
-        if isinstance(cache, ProfileCache):
-            self.cache = cache
-        else:
-            self.cache = ProfileCache(enabled=bool(cache))
-        self.encoder = DocumentEncoder(cache=self.cache)
+        self.cache = cache if cache is not None else ProfileCache()
         self.reducer = self._make_reducer(k)
         self._known: Optional[List[AliasDocument]] = None
 
     def _make_reducer(self, k: int) -> KAttributor:
         """A stage-1 reducer over this linker's reduction space, sharing
-        its encoder (so every reducer reuses one set of profiles)."""
+        its cache (so every reducer reuses one set of profiles)."""
         return KAttributor(
             k=k,
             budget=self.reduction_budget,
             weights=self.weights,
             use_activity=self.use_activity,
             use_structure=self.use_structure,
-            encoder=self.encoder,
-            block_size=self.block_size,
+            cache=self.cache,
         )
 
     def fit(self, known: Sequence[AliasDocument]) -> "AliasLinker":
@@ -447,7 +426,7 @@ class AliasLinker:
             weights=self.weights,
             use_activity=self.use_activity,
             use_structure=self.use_structure,
-            encoder=self.encoder,
+            cache=self.cache,
         )
         candidate_matrix = extractor.fit_transform(list(candidates))
         unknown_matrix = extractor.transform([unknown])

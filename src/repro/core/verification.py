@@ -28,11 +28,7 @@ from repro.config import (
     FeatureBudget,
 )
 from repro.core.documents import AliasDocument
-from repro.core.features import (
-    DocumentEncoder,
-    FeatureExtractor,
-    FeatureWeights,
-)
+from repro.core.features import FeatureExtractor, FeatureWeights
 from repro.core.linker import AliasLinker
 from repro.core.similarity import cosine_similarity
 from repro.errors import ConfigurationError, NotFittedError
@@ -116,7 +112,6 @@ class PairVerifier:
             budget=self.budget,
             weights=self.weights,
             use_activity=self.use_activity,
-            encoder=DocumentEncoder(),
         )
         extractor.fit(corpus)
         corpus_matrix = extractor.transform([doc_b])

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.config import PAPER_THRESHOLD, FeatureConfig
 from repro.core.documents import AliasDocument, refine_forum
-from repro.core.features import DocumentEncoder
 from repro.core.kattribution import KAttributor
 from repro.core.linker import AliasLinker
 from repro.core.similarity import rank_of
@@ -67,8 +66,10 @@ VARIANTS = ("full", "stage1")
 DRIFTS = ("dark-dark", "open-dark")
 #: Default tolerance of the golden-episode gate (absolute, per metric).
 DEFAULT_TOLERANCE = 0.05
-#: Repo-relative home of the committed golden suite.
-GOLDEN_PATH = "benchmarks/golden/golden_episodes.json"
+#: The committed golden suite, anchored to the checkout this module
+#: lives in, so the default gate works from any working directory.
+GOLDEN_PATH = (Path(__file__).resolve().parents[3]
+               / "benchmarks" / "golden" / "golden_episodes.json")
 #: Metrics the golden gate compares (each within the tolerance).
 GOLDEN_METRICS = ("auc", "accuracy_at_1", "brier")
 
@@ -496,12 +497,11 @@ def _warm_cache(cache: ProfileCache, documents: Sequence[AliasDocument],
     """
     from repro.config import FINAL_FEATURES
 
-    encoder = DocumentEncoder(cache=cache)
     for document in sorted({d.doc_id: d for d in documents}.values(),
                            key=lambda d: d.doc_id):
-        encoder.word_profile(document)
-        encoder.char_profile(document)
-        encoder.freq_features(document)
+        cache.word_profile(document)
+        cache.char_profile(document)
+        cache.freq_features(document)
         if features.activity:
             cache.activity_row(document, FINAL_FEATURES.activity_bins)
         if features.structure:
@@ -685,7 +685,7 @@ def run_episodes(episodes: Sequence[Episode],
                     k=len(corpus),
                     use_activity=features.activity,
                     use_structure=features.structure,
-                    encoder=DocumentEncoder(cache=shared),
+                    cache=shared,
                 )
                 attributor.fit(corpus)
                 attributors[cell] = (attributor, {

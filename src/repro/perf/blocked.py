@@ -6,7 +6,7 @@ at 200 x 100,000, and growing linearly with the known corpus.  The
 reduction stage only ever needs the best *k* per row, so the matrix
 never has to exist whole: score the known corpus in column blocks and
 fold a running top-k after each block.  Peak memory becomes
-``O(n_unknowns * (k + block_size))`` regardless of corpus size.
+``O(n_unknowns * (k + BLOCK_ROWS))`` regardless of corpus size.
 
 The fold is **exactly** equivalent to the unblocked computation,
 including tie handling: :func:`repro.core.similarity.top_k` orders
@@ -17,14 +17,12 @@ concatenated candidates therefore preserves the same total order
 candidate sets are identical element-for-element (property-tested in
 ``tests/perf/test_blocked.py``).
 
-The block size comes from the argument, then the
-``REPRO_BLOCK_SIZE`` environment variable, then
-:data:`DEFAULT_BLOCK_SIZE`.
+The block is the fixed :data:`BLOCK_ROWS`: it bounds memory without
+changing a single output bit, so it is not a setting.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,48 +30,22 @@ from scipy import sparse
 
 from repro.core.similarity import cosine_similarity, top_k
 from repro.errors import ConfigurationError
-from repro.obs.metrics import counter, gauge
+from repro.obs.metrics import counter
 
-__all__ = ["blocked_top_k", "resolve_block_size", "BLOCK_SIZE_ENV",
-           "DEFAULT_BLOCK_SIZE"]
+__all__ = ["BLOCK_ROWS", "blocked_top_k"]
 
-#: Environment variable overriding the default block size.
-BLOCK_SIZE_ENV = "REPRO_BLOCK_SIZE"
-
-#: Known-corpus rows scored per block when nothing else is configured.
-#: 4096 known aliases x 200 unknowns of float64 is ~6.5 MB per block —
-#: small enough to sit in cache-friendly territory, large enough that
-#: the sparse matmul dominates the fold bookkeeping.
-DEFAULT_BLOCK_SIZE = 4096
+#: Known-corpus rows scored per block.  4096 known aliases x 200
+#: unknowns of float64 is ~6.5 MB per block — small enough to sit in
+#: cache-friendly territory, large enough that the sparse matmul
+#: dominates the fold bookkeeping.
+BLOCK_ROWS = 4096
 
 #: Similarity blocks scored across all reductions.
 _BLOCKS = counter("stage1_blocks_total")
-#: Block size used by the most recent blocked scoring call.
-_BLOCK_GAUGE = gauge("stage1_block_size")
-
-
-def resolve_block_size(block_size: Optional[int] = None) -> int:
-    """Resolve a block size: argument > ``REPRO_BLOCK_SIZE`` > default."""
-    if block_size is None:
-        raw = os.environ.get(BLOCK_SIZE_ENV)
-        if raw is None or not raw.strip():
-            return DEFAULT_BLOCK_SIZE
-        try:
-            block_size = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{BLOCK_SIZE_ENV} must be an integer, got {raw!r}"
-            ) from None
-    block_size = int(block_size)
-    if block_size < 1:
-        raise ConfigurationError(
-            f"block_size must be a positive integer, got {block_size}")
-    return block_size
 
 
 def blocked_top_k(queries: sparse.spmatrix, corpus: sparse.spmatrix,
-                  k: int, block_size: Optional[int] = None,
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+                  k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-query top-*k* corpus rows by cosine, scored in blocks.
 
     Parameters
@@ -82,9 +54,6 @@ def blocked_top_k(queries: sparse.spmatrix, corpus: sparse.spmatrix,
         L2-normalized sparse matrices, one row per document.
     k:
         Candidates to keep per query (clamped to the corpus size).
-    block_size:
-        Corpus rows scored per block; ``None`` resolves through
-        ``REPRO_BLOCK_SIZE`` / :data:`DEFAULT_BLOCK_SIZE`.
 
     Returns
     -------
@@ -96,17 +65,16 @@ def blocked_top_k(queries: sparse.spmatrix, corpus: sparse.spmatrix,
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    block = resolve_block_size(block_size)
-    _BLOCK_GAUGE.set(block)
     n_corpus = corpus.shape[0]
-    if n_corpus <= block:
+    if n_corpus <= BLOCK_ROWS:
         _BLOCKS.inc()
         return top_k(cosine_similarity(queries, corpus), k)
     best_indices: Optional[np.ndarray] = None
     best_values: Optional[np.ndarray] = None
-    for start in range(0, n_corpus, block):
+    for start in range(0, n_corpus, BLOCK_ROWS):
         _BLOCKS.inc()
-        scores = cosine_similarity(queries, corpus[start:start + block])
+        scores = cosine_similarity(queries,
+                                   corpus[start:start + BLOCK_ROWS])
         indices, values = top_k(scores, min(k, scores.shape[1]))
         indices = indices.astype(np.int64) + start
         if best_indices is None:

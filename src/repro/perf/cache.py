@@ -26,19 +26,17 @@ Everything is observable through ``repro.obs``:
 ``profile_cache_hits_total`` / ``profile_cache_misses_total`` count
 lookups, ``profile_cache_bytes`` gauges resident profile bytes, and
 ``tokenizations_total`` counts every raw text walk (one per n-gram
-encode), which is what the CI smoke asserts goes *down* when the cache
-is on.
+encode), which the CI smoke asserts stays at one per document and
+family.
 
-A cache constructed with ``enabled=False`` recomputes every profile on
-every call but still shares the word vocabulary — interning order, and
-therefore n-gram code values and feature-column order, are identical
-either way, which is what makes cached and uncached linking runs
-**bit-identical** (see ``tests/perf/test_equivalence.py``).
+The cache is always on.  A profile is a pure function of its document
+and the shared vocabulary, so a memoized profile equals a recomputed
+one bit for bit (see ``tests/perf/test_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +58,13 @@ _BYTES = gauge("profile_cache_bytes")
 _TOKENIZATIONS = counter("tokenizations_total")
 
 
+def _nbytes(entry: object) -> int:
+    """Bytes of one cached profile: a :class:`CodeCounts` or a row."""
+    if isinstance(entry, ngrams.CodeCounts):
+        return entry.codes.nbytes + entry.counts.nbytes
+    return entry.nbytes
+
+
 class ProfileCache:
     """Compute-once store of per-document raw feature profiles.
 
@@ -69,17 +74,10 @@ class ProfileCache:
         The shared word-interning table.  A private one is created when
         omitted.  Sharing the vocab is what keeps n-gram codes
         comparable across every consumer of the cache.
-    enabled:
-        When ``False`` nothing is memoized: every lookup recomputes
-        (and re-tokenizes).  The vocabulary is still shared, so a
-        disabled cache changes *nothing* about the numbers a linking
-        run produces — only how often they are recomputed.
     """
 
-    def __init__(self, vocab: Optional[ngrams.WordVocab] = None,
-                 enabled: bool = True) -> None:
+    def __init__(self, vocab: Optional[ngrams.WordVocab] = None) -> None:
         self.vocab = vocab if vocab is not None else ngrams.WordVocab()
-        self.enabled = enabled
         self._word: Dict[str, ngrams.CodeCounts] = {}
         self._char: Dict[str, ngrams.CodeCounts] = {}
         self._freq: Dict[str, np.ndarray] = {}
@@ -99,59 +97,56 @@ class ProfileCache:
         """Approximate bytes held by cached profile arrays."""
         return self._bytes
 
-    def _grow(self, amount: int) -> None:
-        self._bytes += amount
+    def _store(self, family: Dict, key: object, entry: object) -> None:
+        """Put *entry* under *key*, counting its bytes in place of
+        those of the entry it replaces."""
+        replaced = family.get(key)
+        if replaced is not None:
+            self._bytes -= _nbytes(replaced)
+        family[key] = entry
+        self._bytes += _nbytes(entry)
         _BYTES.set(self._bytes)
 
     # -- profiles -------------------------------------------------------------
 
     def word_profile(self, document: "AliasDocument") -> ngrams.CodeCounts:
         """Word 1–3-gram counts of *document*, computed at most once."""
-        if self.enabled:
-            profile = self._word.get(document.doc_id)
-            if profile is not None:
-                _HITS.inc()
-                return profile
+        profile = self._word.get(document.doc_id)
+        if profile is not None:
+            _HITS.inc()
+            return profile
         _MISSES.inc()
         _TOKENIZATIONS.inc()
         codes = ngrams.word_ngram_codes(document.words, self.vocab)
         profile = ngrams.CodeCounts.from_occurrences(codes)
-        if self.enabled:
-            self._word[document.doc_id] = profile
-            self._grow(profile.codes.nbytes + profile.counts.nbytes)
+        self._store(self._word, document.doc_id, profile)
         return profile
 
     def char_profile(self, document: "AliasDocument") -> ngrams.CodeCounts:
         """Character 1–5-gram counts of *document*, computed at most once."""
-        if self.enabled:
-            profile = self._char.get(document.doc_id)
-            if profile is not None:
-                _HITS.inc()
-                return profile
+        profile = self._char.get(document.doc_id)
+        if profile is not None:
+            _HITS.inc()
+            return profile
         _MISSES.inc()
         _TOKENIZATIONS.inc()
         codes = ngrams.char_ngram_codes(document.text)
         profile = ngrams.CodeCounts.from_occurrences(codes)
-        if self.enabled:
-            self._char[document.doc_id] = profile
-            self._grow(profile.codes.nbytes + profile.counts.nbytes)
+        self._store(self._char, document.doc_id, profile)
         return profile
 
     def freq_features(self, document: "AliasDocument") -> np.ndarray:
         """Frequency features of *document*, computed at most once."""
-        if self.enabled:
-            features = self._freq.get(document.doc_id)
-            if features is not None:
-                _HITS.inc()
-                return features
+        features = self._freq.get(document.doc_id)
+        if features is not None:
+            _HITS.inc()
+            return features
         _MISSES.inc()
         # Local import: repro.core.features imports this module.
         from repro.core.features import frequency_features
 
         features = frequency_features(document.text)
-        if self.enabled:
-            self._freq[document.doc_id] = features
-            self._grow(features.nbytes)
+        self._store(self._freq, document.doc_id, features)
         return features
 
     def activity_row(self, document: "AliasDocument",
@@ -164,19 +159,16 @@ class ProfileCache:
         (every pipeline consumer copies it into a stacked matrix).
         """
         key = (document.doc_id, bins)
-        if self.enabled:
-            row = self._activity.get(key)
-            if row is not None:
-                _HITS.inc()
-                return row
+        row = self._activity.get(key)
+        if row is not None:
+            _HITS.inc()
+            return row
         _MISSES.inc()
         if document.activity is not None:
             row = np.asarray(document.activity, dtype=np.float64)
         else:
             row = np.zeros(bins, dtype=np.float64)
-        if self.enabled:
-            self._activity[key] = row
-            self._grow(row.nbytes)
+        self._store(self._activity, key, row)
         return row
 
     def structure_row(self, document: "AliasDocument") -> np.ndarray:
@@ -187,11 +179,10 @@ class ProfileCache:
         :meth:`activity_row` the returned array is shared — callers
         must not mutate it.
         """
-        if self.enabled:
-            row = self._structure.get(document.doc_id)
-            if row is not None:
-                _HITS.inc()
-                return row
+        row = self._structure.get(document.doc_id)
+        if row is not None:
+            _HITS.inc()
+            return row
         _MISSES.inc()
         # Local import: repro.core.features imports this module.
         from repro.core.structure import STRUCTURE_DIM
@@ -200,9 +191,7 @@ class ProfileCache:
             row = np.asarray(document.structure, dtype=np.float64)
         else:
             row = np.zeros(STRUCTURE_DIM, dtype=np.float64)
-        if self.enabled:
-            self._structure[document.doc_id] = row
-            self._grow(row.nbytes)
+        self._store(self._structure, document.doc_id, row)
         return row
 
     # -- persistence ----------------------------------------------------------
@@ -280,61 +269,27 @@ class ProfileCache:
             counts = np.asarray(packed["counts"], dtype=np.int64)
             for i, doc_id in enumerate(packed["keys"]):
                 lo, hi = int(indptr[i]), int(indptr[i + 1])
-                profile = ngrams.CodeCounts(codes=codes[lo:hi],
-                                            counts=counts[lo:hi])
-                target[str(doc_id)] = profile
-                self._grow(profile.codes.nbytes + profile.counts.nbytes)
+                self._store(target, str(doc_id), ngrams.CodeCounts(
+                    codes=codes[lo:hi], counts=counts[lo:hi]))
+
+        def unpack_rows(packed: Dict[str, object], target: Dict,
+                        keys: list) -> None:
+            indptr = np.asarray(packed["indptr"], dtype=np.int64)
+            data = np.asarray(packed["data"], dtype=np.float64)
+            for i, key in enumerate(keys):
+                self._store(target, key,
+                            data[int(indptr[i]):int(indptr[i + 1])])
 
         unpack_counts(state["word"], self._word)
         unpack_counts(state["char"], self._char)
         freq = state["freq"]
-        indptr = np.asarray(freq["indptr"], dtype=np.int64)
-        data = np.asarray(freq["data"], dtype=np.float64)
-        for i, doc_id in enumerate(freq["keys"]):
-            row = data[int(indptr[i]):int(indptr[i + 1])]
-            self._freq[str(doc_id)] = row
-            self._grow(row.nbytes)
+        unpack_rows(freq, self._freq, [str(k) for k in freq["keys"]])
         activity = state["activity"]
-        indptr = np.asarray(activity["indptr"], dtype=np.int64)
-        data = np.asarray(activity["data"], dtype=np.float64)
-        for i, key in enumerate(activity["keys"]):
-            doc_id, bins = key
-            row = data[int(indptr[i]):int(indptr[i + 1])]
-            self._activity[(str(doc_id), int(bins))] = row
-            self._grow(row.nbytes)
+        unpack_rows(activity, self._activity,
+                    [(str(doc_id), int(bins))
+                     for doc_id, bins in activity["keys"]])
         # Snapshots written before the structure family lack the key.
         structure = state.get("structure")
         if structure is not None:
-            indptr = np.asarray(structure["indptr"], dtype=np.int64)
-            data = np.asarray(structure["data"], dtype=np.float64)
-            for i, doc_id in enumerate(structure["keys"]):
-                row = data[int(indptr[i]):int(indptr[i + 1])]
-                self._structure[str(doc_id)] = row
-                self._grow(row.nbytes)
-
-    # -- memory control -------------------------------------------------------
-
-    def drop(self, doc_ids: Iterable[str]) -> None:
-        """Forget cached profiles (memory control for huge corpora)."""
-        for doc_id in doc_ids:
-            for family in (self._word, self._char, self._freq,
-                           self._structure):
-                entry = family.pop(doc_id, None)
-                if entry is None:
-                    continue
-                if isinstance(entry, ngrams.CodeCounts):
-                    self._grow(-(entry.codes.nbytes + entry.counts.nbytes))
-                else:
-                    self._grow(-entry.nbytes)
-            for key in [k for k in self._activity if k[0] == doc_id]:
-                self._grow(-self._activity.pop(key).nbytes)
-
-    def clear(self) -> None:
-        """Drop every cached profile (the vocabulary is kept)."""
-        self._word.clear()
-        self._char.clear()
-        self._freq.clear()
-        self._activity.clear()
-        self._structure.clear()
-        self._bytes = 0
-        _BYTES.set(0)
+            unpack_rows(structure, self._structure,
+                        [str(k) for k in structure["keys"]])

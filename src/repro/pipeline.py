@@ -34,7 +34,6 @@ from repro.errors import ConfigurationError, InsufficientDataError
 from repro.forums.models import Forum
 from repro.obs.logging import get_logger
 from repro.obs.spans import span
-from repro.perf.blocked import resolve_block_size
 from repro.textproc.cleaning import CleaningConfig, PolishReport, \
     polish_forum
 
@@ -66,27 +65,16 @@ class LinkingPipeline:
     batch_size:
         When set, the RAM-bounded batched procedure of Section IV-J is
         used with this *B* instead of the in-memory linker.
-    cache / block_size:
-        Profile-caching policy and stage-1 scoring block size,
-        forwarded to the linker (see
-        :class:`~repro.core.linker.AliasLinker`).
-
-    ``block_size`` resolves (argument > env > default) and validates
-    here, once, before any forum is polished.
     """
 
     def __init__(self, config: PipelineConfig | None = None,
                  cleaning: CleaningConfig | None = None,
                  weights: FeatureWeights | None = None,
-                 batch_size: Optional[int] = None,
-                 cache: bool = True,
-                 block_size: Optional[int] = None) -> None:
+                 batch_size: Optional[int] = None) -> None:
         self.config = config or PipelineConfig()
         self.cleaning = cleaning or CleaningConfig()
         self.weights = weights or FeatureWeights()
         self.batch_size = batch_size
-        self.cache = cache
-        self.block_size = resolve_block_size(block_size)
         self.report = PipelineReport()
 
     def manifest_config(self) -> Dict[str, object]:
@@ -107,8 +95,6 @@ class LinkingPipeline:
             "use_lemmatization": self.config.use_lemmatization,
             "min_timestamps": self.config.min_timestamps,
             "batch_size": self.batch_size,
-            "cache": self.cache,
-            "block_size": self.block_size,
         }
 
     def prepare_forum(self, forum: Forum,
@@ -168,8 +154,6 @@ class LinkingPipeline:
             weights=weights,
             use_activity=self.config.use_activity,
             use_structure=self.config.use_structure,
-            cache=self.cache,
-            block_size=self.block_size,
             **variant,
         )
 

@@ -51,9 +51,12 @@ format exists to survive.
 
 The round-trip contract is bit-identity:
 ``load(save(fit(world))).link(u)`` equals ``fit(world).link(u)`` for
-both linkers at any block size or cache setting (the
-shared vocabulary is restored in interning order, which pins n-gram
-codes and therefore every downstream tie-break).
+both linkers (the shared vocabulary is restored in interning order,
+which pins n-gram codes and therefore every downstream tie-break).
+Cached profiles are derived state: a snapshot whose cache sections
+are empty (older builds could write one) loads with an empty cache
+and recomputes each profile over the stored vocabulary on first use,
+with the same result.
 """
 
 from __future__ import annotations
@@ -225,8 +228,7 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
     Sections are ``(name, kind, payload)`` with kind ``"json"``
     (payload is any JSON-serializable object) or ``"ndarray"``
     (payload is a numpy array).  Only *semantic* knobs enter the
-    config — perf knobs (block size, cache policy) are load-time
-    choices because they never change the numbers.
+    config.
     """
     from repro.core.batch import BatchedLinker
     from repro.core.incremental import IncrementalLinker
@@ -671,46 +673,43 @@ def salvage_index(path: Union[str, Path],
 # Loading (snapshot -> fitted linker)
 # ---------------------------------------------------------------------------
 
-def _rebuild_cache(sections: Dict[str, Any], enabled: bool) -> Any:
+def _rebuild_cache(sections: Dict[str, Any]) -> Any:
     from repro.core.ngrams import WordVocab
     from repro.perf.cache import ProfileCache
 
     vocab = WordVocab()
     for word in sections["vocab"]:
         vocab.intern(word)
-    cache = ProfileCache(vocab=vocab, enabled=enabled)
-    if enabled:
-        index = sections["cache.index"]
-        state = {
-            "word": {"keys": index["word"]["keys"],
-                     "codes": sections["cache.word.codes"],
-                     "counts": sections["cache.word.counts"],
-                     "indptr": sections["cache.word.indptr"]},
-            "char": {"keys": index["char"]["keys"],
-                     "codes": sections["cache.char.codes"],
-                     "counts": sections["cache.char.counts"],
-                     "indptr": sections["cache.char.indptr"]},
-            "freq": {"keys": index["freq"]["keys"],
-                     "data": sections["cache.freq.data"],
-                     "indptr": sections["cache.freq.indptr"]},
-            "activity": {"keys": index["activity"]["keys"],
-                         "data": sections["cache.activity.data"],
-                         "indptr": sections["cache.activity.indptr"]},
-        }
-        # Snapshots written before the structure family lack these.
-        if "cache.structure.data" in sections \
-                and "structure" in index:
-            state["structure"] = {
-                "keys": index["structure"]["keys"],
-                "data": sections["cache.structure.data"],
-                "indptr": sections["cache.structure.indptr"]}
-        cache.import_state(state)
+    cache = ProfileCache(vocab=vocab)
+    index = sections["cache.index"]
+    state = {
+        "word": {"keys": index["word"]["keys"],
+                 "codes": sections["cache.word.codes"],
+                 "counts": sections["cache.word.counts"],
+                 "indptr": sections["cache.word.indptr"]},
+        "char": {"keys": index["char"]["keys"],
+                 "codes": sections["cache.char.codes"],
+                 "counts": sections["cache.char.counts"],
+                 "indptr": sections["cache.char.indptr"]},
+        "freq": {"keys": index["freq"]["keys"],
+                 "data": sections["cache.freq.data"],
+                 "indptr": sections["cache.freq.indptr"]},
+        "activity": {"keys": index["activity"]["keys"],
+                     "data": sections["cache.activity.data"],
+                     "indptr": sections["cache.activity.indptr"]},
+    }
+    # Snapshots written before the structure family lack these.
+    if "cache.structure.data" in sections and "structure" in index:
+        state["structure"] = {
+            "keys": index["structure"]["keys"],
+            "data": sections["cache.structure.data"],
+            "indptr": sections["cache.structure.indptr"]}
+    cache.import_state(state)
     return cache
 
 
 def _rebuild_linker(header: Dict[str, Any],
-                    sections: Dict[str, Any],
-                    cache: bool, block_size: Optional[int]) -> Any:
+                    sections: Dict[str, Any]) -> Any:
     from repro.core.batch import BatchedLinker
     from repro.core.features import FeatureWeights
     from repro.core.linker import AliasLinker
@@ -723,7 +722,7 @@ def _rebuild_linker(header: Dict[str, Any],
         raise SnapshotError(
             f"documents section holds {len(documents)} records, "
             f"config says {config['n_known']}", section="documents")
-    profile_cache = _rebuild_cache(sections, enabled=bool(cache))
+    profile_cache = _rebuild_cache(sections)
     weights = FeatureWeights(**config["weights"])
     reduction_budget = FeatureBudget(**config["reduction_budget"])
     final_budget = FeatureBudget(**config["final_budget"])
@@ -741,7 +740,6 @@ def _rebuild_linker(header: Dict[str, Any],
         use_activity=config["use_activity"],
         use_structure=config.get("use_structure", False),
         cache=profile_cache,
-        block_size=block_size,
         **variant,
     )
     if batched:
@@ -772,9 +770,7 @@ def _rebuild_linker(header: Dict[str, Any],
     return linker
 
 
-def load_index(path: Union[str, Path], cache: bool = True,
-               block_size: Optional[int] = None,
-               mmap: bool = True) -> Any:
+def load_index(path: Union[str, Path], mmap: bool = True) -> Any:
     """Load a verified snapshot into a ready-to-link linker.
 
     Every section checksum, the header checksum, the format version
@@ -782,9 +778,6 @@ def load_index(path: Union[str, Path], cache: bool = True,
     damage raises :class:`~repro.errors.SnapshotError` naming the
     first damaged section.  With *mmap* (default, plain loads only)
     the numpy sections stay memory-mapped views of the file.
-
-    *cache* and *block_size* are load-time perf knobs — they never
-    change the scores a loaded linker produces.
     """
     path = Path(path)
     with span("snapshot.load", path=str(path)):
@@ -801,8 +794,7 @@ def load_index(path: Union[str, Path], cache: bool = True,
             entry["name"]: _parse_section(buffer, header, entry)
             for entry in header["sections"]
         }
-        linker = _rebuild_linker(header, sections, cache=cache,
-                                 block_size=block_size)
+        linker = _rebuild_linker(header, sections)
     _LOADED.inc()
     log.info("snapshot.load", path=str(path), algo=header["algo"],
              n_known=header["config"]["n_known"],

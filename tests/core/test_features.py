@@ -9,12 +9,12 @@ from repro.core.features import (
     DIGIT_CHARS,
     PUNCTUATION_CHARS,
     SPECIAL_CHARS,
-    DocumentEncoder,
     FeatureExtractor,
     FeatureWeights,
     frequency_features,
 )
 from repro.errors import ConfigurationError, NotFittedError
+from repro.perf.cache import ProfileCache
 
 
 def _doc(doc_id, text, activity_hour=None):
@@ -80,28 +80,6 @@ class TestFeatureWeights:
         assert weights.activity == 0.0
 
 
-class TestDocumentEncoder:
-    def test_profiles_cached(self):
-        encoder = DocumentEncoder()
-        first = encoder.word_profile(DOCS[0])
-        second = encoder.word_profile(DOCS[0])
-        assert first is second
-
-    def test_drop_clears_cache(self):
-        encoder = DocumentEncoder()
-        first = encoder.word_profile(DOCS[0])
-        encoder.drop([DOCS[0].doc_id])
-        second = encoder.word_profile(DOCS[0])
-        assert first is not second
-
-    def test_shared_vocab_consistent(self):
-        encoder = DocumentEncoder()
-        profile_a = encoder.word_profile(DOCS[0])
-        profile_b = encoder.word_profile(DOCS[1])
-        # "the" appears in both docs: codes must intersect
-        assert np.intersect1d(profile_a.codes, profile_b.codes).size > 0
-
-
 class TestFeatureExtractor:
     def test_transform_before_fit_raises(self):
         extractor = FeatureExtractor(FINAL_FEATURES)
@@ -156,12 +134,13 @@ class TestFeatureExtractor:
         with pytest.raises(NotFittedError):
             FeatureExtractor(FINAL_FEATURES).vocabulary_sizes()
 
-    def test_shared_encoder_reused(self):
-        encoder = DocumentEncoder()
-        a = FeatureExtractor(FINAL_FEATURES, encoder=encoder)
+    def test_shared_cache_reused(self):
+        cache = ProfileCache()
+        a = FeatureExtractor(FINAL_FEATURES, cache=cache)
         b = FeatureExtractor(FeatureBudget(word_ngrams=10,
                                            char_ngrams=10),
-                             encoder=encoder)
+                             cache=cache)
         a.fit(DOCS)
+        cached = len(cache)
         b.fit(DOCS)  # second fit reuses cached profiles
-        assert a.encoder is b.encoder
+        assert a.cache is b.cache and len(cache) == cached

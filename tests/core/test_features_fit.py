@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from repro.config import FeatureBudget
 from repro.core import ngrams
 from repro.core.documents import AliasDocument
-from repro.core.features import DocumentEncoder, FeatureExtractor
+from repro.core.features import FeatureExtractor
 from repro.core.structure import STRUCTURE_DIM
 from repro.obs.metrics import get_registry
 from repro.obs.spans import (disable_tracing, enable_tracing, get_trace,
                              iter_spans, reset_trace)
+from repro.perf.cache import ProfileCache
 
 
 def _profile(pairs):
@@ -161,9 +162,9 @@ def make_corpus(n_documents, seed):
     return documents
 
 
-def _extractor(encoder, **kwargs):
+def _extractor(cache, **kwargs):
     budget = FeatureBudget(word_ngrams=40, char_ngrams=120)
-    return FeatureExtractor(budget, encoder=encoder, **kwargs)
+    return FeatureExtractor(budget, cache=cache, **kwargs)
 
 
 class TestFitTransform:
@@ -171,11 +172,11 @@ class TestFitTransform:
         (False, False), (True, False), (False, True), (True, True)])
     def test_equals_fit_then_transform(self, use_activity, use_structure):
         documents = make_corpus(40, seed=1)
-        encoder = DocumentEncoder()
+        cache = ProfileCache()
         kwargs = dict(use_activity=use_activity,
                       use_structure=use_structure)
-        fused = _extractor(encoder, **kwargs).fit_transform(documents)
-        split = _extractor(encoder, **kwargs).fit(documents) \
+        fused = _extractor(cache, **kwargs).fit_transform(documents)
+        split = _extractor(cache, **kwargs).fit(documents) \
             .transform(documents)
         assert fused.shape == split.shape
         assert np.array_equal(fused.indptr, split.indptr)
@@ -183,7 +184,7 @@ class TestFitTransform:
         assert np.array_equal(fused.data, split.data)
 
     def test_nothing_stays_referenced(self):
-        extractor = _extractor(DocumentEncoder())
+        extractor = _extractor(ProfileCache())
         extractor.fit_transform(make_corpus(10, seed=3))
         matrices = [v for v in vars(extractor).values()
                     if hasattr(v, "nnz")]
@@ -193,10 +194,10 @@ class TestFitTransform:
         # The default budget keeps every n-gram of this corpus, so the
         # weighting phase, not the fit's sort, sets the peak.
         documents = make_corpus(300, seed=4)
-        encoder = DocumentEncoder()
+        cache = ProfileCache()
 
         def extractor():
-            return FeatureExtractor(FeatureBudget(), encoder=encoder)
+            return FeatureExtractor(FeatureBudget(), cache=cache)
 
         def traced_peak(run):
             tracemalloc.start()
@@ -221,7 +222,7 @@ class TestFitTransform:
 
     def test_telemetry(self):
         documents = make_corpus(12, seed=5)
-        extractor = _extractor(DocumentEncoder())
+        extractor = _extractor(ProfileCache())
         registry = get_registry()
         before = registry.snapshot()
         reset_trace()

@@ -8,6 +8,7 @@ from repro.core.incremental import IncrementalLinker
 from repro.core.linker import AliasLinker
 from repro.errors import ConfigurationError, DatasetError, \
     NotFittedError
+from repro.perf import blocked
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,8 @@ class TestIncrementalAppend:
 
     @pytest.mark.parametrize("block_size", [3, 10 ** 6])
     def test_add_known_matches_fresh_reduce(self, reddit_alter_egos,
-                                            split_known, block_size):
+                                            split_known, block_size,
+                                            monkeypatch):
         initial, extra = split_known
         if not extra:
             pytest.skip("fixture too small")
@@ -157,7 +159,8 @@ class TestIncrementalAppend:
         linker.add_known(extra)
         reduced = linker.reducer.reduce(unknowns)
 
-        fresh = AliasLinker(threshold=0.0, block_size=block_size)
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", block_size)
+        fresh = AliasLinker(threshold=0.0)
         fresh.reducer.extractor = linker.reducer.extractor
         fresh.reducer._known = linker.reducer._known
         fresh.reducer._known_matrix = \
@@ -192,9 +195,3 @@ class TestIncrementalAppend:
         assert linker.reducer._known_matrix.shape[0] == linker.n_known
         assert linker.link(queries).to_dict() \
             == clean.link(queries).to_dict()
-
-    def test_block_size_threaded_through(self, split_known):
-        initial, _ = split_known
-        linker = IncrementalLinker(block_size=7)
-        linker.fit(initial)
-        assert linker.reducer.block_size == 7

@@ -5,6 +5,7 @@ import pytest
 from repro.config import FeatureBudget
 from repro.core.kattribution import KAttributor
 from repro.errors import ConfigurationError, NotFittedError
+from repro.perf import blocked
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +92,12 @@ class TestAccuracyAtK:
 
 
 class TestBlockSize:
-    def test_block_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            KAttributor(block_size=0)
-
-    def test_block_size_resolved_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "17")
-        attributor = KAttributor()
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "3")
-        assert attributor.block_size == 17
-
-    def test_single_block_matches_tiny_blocks(self, reddit_alter_egos):
+    def test_single_block_matches_tiny_blocks(self, reddit_alter_egos,
+                                              monkeypatch):
+        attributor = KAttributor(k=10)
+        attributor.fit(reddit_alter_egos.originals)
         n_known = len(reddit_alter_egos.originals)
-        one_shot = KAttributor(k=10, block_size=n_known)
-        one_shot.fit(reddit_alter_egos.originals)
-        tiny = KAttributor(k=10, block_size=3)
-        tiny.fit(reddit_alter_egos.originals)
-        assert one_shot.reduce(reddit_alter_egos.alter_egos) \
-            == tiny.reduce(reddit_alter_egos.alter_egos)
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", n_known)
+        one_shot = attributor.reduce(reddit_alter_egos.alter_egos)
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", 3)
+        assert one_shot == attributor.reduce(reddit_alter_egos.alter_egos)

@@ -25,7 +25,7 @@ from repro.eval.episodes import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GOLDEN_FILE = REPO_ROOT / GOLDEN_PATH
+GOLDEN_FILE = REPO_ROOT / "benchmarks" / "golden" / "golden_episodes.json"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,16 @@ class TestGate:
     def test_full_linker_passes(self, suite, full_report):
         episodes, config = suite
         assert check_golden(GOLDEN_FILE, full_report, episodes,
+                            config) == []
+
+    def test_default_path_found_from_any_directory(
+            self, suite, full_report, tmp_path, monkeypatch):
+        """``eval episodes --check`` without a PATH gates against the
+        committed file wherever it runs, not only from the repo root."""
+        episodes, config = suite
+        monkeypatch.chdir(tmp_path)
+        assert Path(GOLDEN_PATH).resolve() == GOLDEN_FILE
+        assert check_golden(GOLDEN_PATH, full_report, episodes,
                             config) == []
 
     def test_full_linker_reproduces_scores_exactly(self, suite,

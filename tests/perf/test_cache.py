@@ -81,24 +81,16 @@ class TestMetrics:
         cache.word_profile(DOC)  # hit: no new tokenization
         assert _value("tokenizations_total") == before + 2
 
-    def test_disabled_cache_always_misses(self):
-        cache = ProfileCache(enabled=False)
-        before = _value("tokenizations_total")
-        cache.word_profile(DOC)
-        cache.word_profile(DOC)
-        assert _value("tokenizations_total") == before + 2
-        assert len(cache) == 0
-
 
 class TestEquivalence:
     def test_disabled_cache_same_profiles(self):
+        # A cached profile equals one computed without the cache.
         vocab = ngrams.WordVocab()
-        on = ProfileCache(vocab=vocab)
-        off = ProfileCache(vocab=vocab, enabled=False)
-        a = on.word_profile(DOC)
-        b = off.word_profile(DOC)
-        np.testing.assert_array_equal(a.codes, b.codes)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        cached = ProfileCache(vocab=vocab).word_profile(DOC)
+        direct = ngrams.CodeCounts.from_occurrences(
+            ngrams.word_ngram_codes(DOC.words, vocab))
+        np.testing.assert_array_equal(cached.codes, direct.codes)
+        np.testing.assert_array_equal(cached.counts, direct.counts)
 
     def test_shared_vocab_interning_order(self):
         # Two caches over one vocab must agree on word codes; over two
@@ -111,9 +103,16 @@ class TestEquivalence:
         b = two.word_profile(DOC)
         np.testing.assert_array_equal(a.codes, b.codes)
 
+    def test_shared_vocab_consistent(self):
+        cache = ProfileCache()
+        a = cache.word_profile(_doc("c", "the cat sat"))
+        b = cache.word_profile(_doc("d", "the dog ran"))
+        # "the" appears in both docs: codes must intersect
+        assert np.intersect1d(a.codes, b.codes).size > 0
 
-class TestMemoryControl:
-    def test_nbytes_grows_and_drop_releases(self):
+
+class TestAccounting:
+    def test_nbytes_grows_per_new_profile(self):
         cache = ProfileCache()
         assert cache.nbytes == 0
         cache.word_profile(DOC)
@@ -122,21 +121,22 @@ class TestMemoryControl:
         cache.activity_row(DOC, 24)
         grown = cache.nbytes
         assert grown > 0 and len(cache) == 4
-        cache.drop([DOC.doc_id])
-        assert cache.nbytes == 0 and len(cache) == 0
-        assert cache.word_profile(DOC) is not None  # recomputable
+        cache.word_profile(DOC)  # a hit stores nothing
+        assert cache.nbytes == grown
 
-    def test_drop_only_named_documents(self):
-        cache = ProfileCache()
-        cache.word_profile(DOC)
-        kept = cache.word_profile(OTHER)
-        cache.drop([DOC.doc_id])
-        assert cache.word_profile(OTHER) is kept
-
-    def test_clear_keeps_vocabulary(self):
-        cache = ProfileCache()
-        profile = cache.word_profile(DOC)
-        cache.clear()
-        assert len(cache) == 0 and cache.nbytes == 0
-        fresh = cache.word_profile(DOC)
-        np.testing.assert_array_equal(profile.codes, fresh.codes)
+    def test_reimport_replaces_bytes(self):
+        source = ProfileCache()
+        for doc in (DOC, OTHER):
+            source.word_profile(doc)
+            source.char_profile(doc)
+            source.freq_features(doc)
+            source.activity_row(doc, 24)
+            source.structure_row(doc)
+        state = source.export_state()
+        cache = ProfileCache(vocab=source.vocab)
+        cache.import_state(state)
+        first = cache.nbytes
+        assert first == source.nbytes and len(cache) == len(source)
+        cache.import_state(state)
+        assert cache.nbytes == first and len(cache) == len(source)
+        assert _value("profile_cache_bytes") == first

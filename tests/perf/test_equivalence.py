@@ -1,16 +1,20 @@
-"""Bit-identity of linking output across every perf configuration.
+"""Bit-identity of linking output across the perf mechanics.
 
 The perf subsystem's contract is that caching and blocked scoring are
 pure mechanics: ``link()`` output is **identical** — not approximately
-equal — whether the cache is on or off, at any block size, across
-repeated links and refits, and under checkpoint/resume.  Everything here
-compares full ``LinkResult.to_dict()`` payloads for exact equality.
+equal — whether profiles come warm from a shared cache or are computed
+fresh, however many stage-1 blocks the known corpus spans, across
+repeated links and refits, and under checkpoint/resume.  The block
+size is a module constant, so the multi-block cases patch
+:data:`repro.perf.blocked.BLOCK_ROWS`.  Everything here compares full
+``LinkResult.to_dict()`` payloads for exact equality.
 """
 
 import pytest
 
 from repro.core.batch import BatchedLinker
 from repro.core.linker import AliasLinker
+from repro.perf import blocked
 
 
 def _run(dataset, **kwargs):
@@ -21,43 +25,44 @@ def _run(dataset, **kwargs):
 
 @pytest.fixture(scope="module")
 def baseline(reddit_alter_egos):
-    """The reference run: serial, cached, default block size."""
+    """The reference run: fresh cache, default block size (one block
+    spans the whole test corpus)."""
     return _run(reddit_alter_egos).to_dict()
 
 
 class TestAliasLinkerEquivalence:
-    def test_cache_off_is_bit_identical(self, reddit_alter_egos,
-                                        baseline):
-        assert _run(reddit_alter_egos,
-                    cache=False).to_dict() == baseline
-
     def test_tiny_blocks_are_bit_identical(self, reddit_alter_egos,
-                                           baseline):
-        assert _run(reddit_alter_egos,
-                    block_size=3).to_dict() == baseline
+                                           baseline, monkeypatch):
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", 3)
+        assert _run(reddit_alter_egos).to_dict() == baseline
 
     def test_everything_at_once_is_bit_identical(self,
                                                  reddit_alter_egos,
-                                                 baseline):
-        assert _run(reddit_alter_egos, cache=False,
-                    block_size=5).to_dict() == baseline
+                                                 baseline, monkeypatch):
+        # Blocks of 5 over profiles another linker already cached.
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", 5)
+        warm = AliasLinker(threshold=0.4).fit(reddit_alter_egos.originals)
+        warm.link(reddit_alter_egos.alter_egos)
+        assert _run(reddit_alter_egos,
+                    cache=warm.cache).to_dict() == baseline
 
 
 class TestStage1Equivalence:
     """Every stage-1 block size produces the same bits end to end."""
 
     def test_single_block_is_bit_identical(self, reddit_alter_egos,
-                                           baseline):
+                                           baseline, monkeypatch):
         # One block spanning the corpus is the one-shot top-k path.
         n_known = len(reddit_alter_egos.originals)
-        assert _run(reddit_alter_egos,
-                    block_size=n_known).to_dict() == baseline
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", n_known)
+        assert _run(reddit_alter_egos).to_dict() == baseline
 
     @pytest.mark.parametrize("block_size", [1, 2, 7])
     def test_block_sizes_are_bit_identical(self, reddit_alter_egos,
-                                           baseline, block_size):
-        assert _run(reddit_alter_egos,
-                    block_size=block_size).to_dict() == baseline
+                                           baseline, block_size,
+                                           monkeypatch):
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", block_size)
+        assert _run(reddit_alter_egos).to_dict() == baseline
 
     def test_link_scores_match_rescore(self, reddit_alter_egos):
         # link()'s block-diagonal restage scores every pair exactly as
@@ -114,19 +119,6 @@ class TestResumeEquivalence:
                               checkpoint=checkpoint, resume=True)
         assert result.to_dict() == baseline
 
-    def test_resume_cache_off_equals_baseline(self, reddit_alter_egos,
-                                              baseline, tmp_path):
-        checkpoint = tmp_path / "link.ckpt"
-        first = AliasLinker(threshold=0.4, cache=False)
-        first.fit(reddit_alter_egos.originals)
-        first.link(reddit_alter_egos.alter_egos[:2],
-                   checkpoint=checkpoint)
-        second = AliasLinker(threshold=0.4)
-        second.fit(reddit_alter_egos.originals)
-        result = second.link(reddit_alter_egos.alter_egos,
-                             checkpoint=checkpoint, resume=True)
-        assert result.to_dict() == baseline
-
 
 class TestBatchedEquivalence:
     @pytest.fixture(scope="class")
@@ -135,10 +127,12 @@ class TestBatchedEquivalence:
         linker.fit(reddit_alter_egos.originals)
         return linker.link(reddit_alter_egos.alter_egos).to_dict()
 
-    def test_cache_off_is_bit_identical(self, reddit_alter_egos,
-                                        batched_baseline):
-        linker = BatchedLinker(batch_size=12, threshold=0.4,
-                               cache=False)
+    def test_multi_block_fold_is_bit_identical(self, reddit_alter_egos,
+                                               batched_baseline,
+                                               monkeypatch):
+        # Every pool of more than 5 rows spans several blocks.
+        monkeypatch.setattr(blocked, "BLOCK_ROWS", 5)
+        linker = BatchedLinker(batch_size=12, threshold=0.4)
         linker.fit(reddit_alter_egos.originals)
         result = linker.link(reddit_alter_egos.alter_egos)
         assert result.to_dict() == batched_baseline

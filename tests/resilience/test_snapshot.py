@@ -16,6 +16,8 @@ from repro.core.incremental import IncrementalLinker
 from repro.core.linker import AliasLinker
 from repro.errors import ConfigurationError, NotFittedError, \
     SnapshotError
+from repro.perf import blocked
+from repro.perf.cache import ProfileCache
 from repro.resilience.faults import FaultPlan, install_fault_plan
 from repro.resilience.snapshot import (
     SNAPSHOT_MAGIC,
@@ -63,20 +65,29 @@ class TestRoundTrip:
             _result_json(direct)
 
     @pytest.mark.parametrize("kwargs", [
-        {"block_size": 1},
-        {"block_size": 8},
-        {"cache": False},
-        {"block_size": 16, "cache": True},
+        {"block_rows": 1},
+        {"block_rows": 8},
+        {"cached_profiles": False},
+        {"block_rows": 16, "mmap": False},
     ])
     def test_load_variations_bit_identical(self, corpus, tmp_path,
-                                           kwargs):
-        """Perf knobs at load time never change the numbers."""
+                                           monkeypatch, kwargs):
+        """How a snapshot is stored, loaded and scanned never changes
+        the numbers: stage-1 blocks of a few rows, a copying load, and
+        a snapshot without cached profiles all link like a fresh fit."""
         known, unknowns = corpus
+        direct = AliasLinker(threshold=0.0).fit(known).link(unknowns)
         linker = AliasLinker(threshold=0.0).fit(known)
-        direct = linker.link(unknowns)
+        if not kwargs.get("cached_profiles", True):
+            # What older builds wrote with the cache switched off: the
+            # interned vocabulary and empty profile sections.
+            linker.cache = ProfileCache(vocab=linker.cache.vocab)
         path = tmp_path / "alias.snap"
         save_index(linker, path)
-        loaded = load_index(path, **kwargs)
+        if "block_rows" in kwargs:
+            monkeypatch.setattr(blocked, "BLOCK_ROWS",
+                                kwargs["block_rows"])
+        loaded = load_index(path, mmap=kwargs.get("mmap", True))
         assert _result_json(loaded.link(unknowns)) == \
             _result_json(direct)
 

@@ -189,30 +189,25 @@ class TestManifest:
         assert config["build_wall_s"] > 0
 
     def test_link_index_manifest_records_loaded_knobs(
-            self, world_dir, snapshot, tmp_path, capsys):
-        """link --index records the loaded linker's perf knobs, not
-        the pipeline defaults."""
+            self, world_dir, tmp_path, capsys):
+        """link --index records the loaded linker's knobs, not the
+        pipeline defaults."""
         import json
 
         from repro.obs.manifest import manifest_path_for
 
+        snap = tmp_path / "b11.snap"
+        assert main(["index", "build",
+                     "--known", str(world_dir / "dm.jsonl"),
+                     "--batch-size", "11", "--threshold", "0.5",
+                     "--out", str(snap)]) == 0
         trace = tmp_path / "trace.json"
         code = main(["--trace", str(trace), "link",
-                     "--index", str(snapshot),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--no-cache", "--block-size", "512"])
+                     "--index", str(snap),
+                     "--unknown", str(world_dir / "tmg.jsonl")])
         capsys.readouterr()
         assert code == 0
         config = json.loads(manifest_path_for(trace).read_text())["config"]
-        assert config["cache"] is False
-        assert config["block_size"] == 512
-        assert config["index"] == str(snapshot)
-
-    def test_block_size_must_be_positive(self, world_dir, snapshot,
-                                         capsys):
-        code = main(["link",
-                     "--index", str(snapshot),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--block-size", "0"])
-        assert code != 0
-        assert "block_size" in capsys.readouterr().err
+        assert config["batch_size"] == 11
+        assert config["threshold"] == 0.5
+        assert config["index"] == str(snap)

@@ -82,23 +82,6 @@ class TestLinkCommand:
         assert code == 1
         assert "error:" in captured.err
 
-    def test_bad_block_size_rejected_before_polishing(self, world_dir,
-                                                      capsys,
-                                                      monkeypatch):
-        from repro.pipeline import LinkingPipeline
-
-        prepared = []
-        monkeypatch.setattr(LinkingPipeline, "prepare_forum",
-                            lambda self, forum, is_known=True:
-                            prepared.append(forum.name))
-        code = main(["link",
-                     "--known", str(world_dir / "dm.jsonl"),
-                     "--unknown", str(world_dir / "tmg.jsonl"),
-                     "--block-size", "0"])
-        assert code == 1
-        assert "block_size" in capsys.readouterr().err
-        assert prepared == []
-
     def test_link_impossible_threshold_outputs_nothing(self, world_dir,
                                                        capsys):
         code = main(["link",

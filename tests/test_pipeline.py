@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PipelineConfig
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.errors import InsufficientDataError
 from repro.pipeline import LinkingPipeline
 
 
@@ -71,16 +71,3 @@ class TestLinkForums:
             reddit_alter_egos.originals,
             reddit_alter_egos.alter_egos[:3])
         assert len(result.matches) == 3
-
-
-class TestPerfKnobs:
-    def test_manifest_records_env_resolved_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "64")
-        pipeline = LinkingPipeline()
-        assert pipeline.manifest_config()["block_size"] == 64
-        assert pipeline._make_linker().block_size == 64
-
-    @pytest.mark.parametrize("knob", ["block_size"])
-    def test_bad_knob_rejected_at_construction(self, knob):
-        with pytest.raises(ConfigurationError, match=knob):
-            LinkingPipeline(**{knob: 0})
