@@ -18,9 +18,9 @@ worlds (see DESIGN.md for the substitution rationale):
 * :mod:`repro.profiling` — personal-information extraction (§V-D);
 * :mod:`repro.obs` — observability: tracing spans, metrics registry,
   structured logging (``docs/observability.md``);
-* :mod:`repro.resilience` — fault tolerance: retry policies,
-  deterministic fault injection, resumable checkpoints, crash-safe
-  index snapshots (``docs/robustness.md``);
+* :mod:`repro.resilience` — fault tolerance: retry policies, one
+  atomic file writer, resumable checkpoints, crash-safe index
+  snapshots (``docs/robustness.md``);
 * :mod:`repro.perf` — performance: compute-once profile caching and
   blocked stage-1 scoring (``docs/performance.md``).
 
@@ -79,7 +79,6 @@ from repro.perf import ProfileCache
 from repro.pipeline import LinkingPipeline, PipelineReport
 from repro.resilience import (
     CheckpointStore,
-    FaultPlan,
     RetryPolicy,
     load_index,
     save_index,
@@ -110,7 +109,6 @@ __all__ = [
     "CheckpointStore",
     "ConfigurationError",
     "DatasetError",
-    "FaultPlan",
     "InsufficientDataError",
     "LanguageDetectionError",
     "NotFittedError",

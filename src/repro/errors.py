@@ -52,7 +52,7 @@ class ResilienceError(ReproError):
 class TransientError(ResilienceError):
     """A failure that is expected to succeed when retried.
 
-    Raised by the fault-injection harness and by simulated I/O; retry
+    Raised by the simulated scraper's flaky hidden services; retry
     policies treat it (and any exception type registered as retryable)
     as a signal to back off and try again rather than to abort.
     """

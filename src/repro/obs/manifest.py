@@ -8,7 +8,7 @@ can say *what produced it*.  A manifest pins that down::
      "argv": ["--known", "dm.jsonl", ...],
      "config": {"k": 10, "threshold": 0.419, ...},
      "seed": 7,
-     "env": {"REPRO_FAULT_SEED": "1"},       # only the knobs that are set
+     "env": {"REPRO_LOG_LEVEL": "INFO"},     # only the knobs that are set
      "python": "3.12.3", "numpy": "1.26.4",
      "platform": "Linux-6.8...-x86_64",
      "git_rev": "c5cbe09...",                # None outside a checkout
@@ -63,9 +63,6 @@ TIMING_FIELDS: Tuple[str, ...] = ("created_at", "elapsed_s")
 #: actually set land in the manifest, so an unset environment stays an
 #: empty (and therefore comparable) dict.
 ENV_KNOBS: Tuple[str, ...] = (
-    "REPRO_FAULT_SEED",
-    "REPRO_FAULT_RATE",
-    "REPRO_FAULT_KINDS",
     "REPRO_LOG_LEVEL",
     "REPRO_LOG_FORMAT",
     "REPRO_PROFILE",

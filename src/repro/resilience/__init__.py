@@ -6,13 +6,11 @@ layer one shared vocabulary for surviving it:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: exponential
   backoff with deterministic jitter, attempt caps, and a total-deadline
-  budget (used by the scraper, storage I/O, snapshots and checkpoints);
-* :mod:`repro.resilience.faults` — :class:`FaultPlan`: seeded,
-  reproducible injection of transient failures, record corruption,
-  clock skew, and filesystem faults — torn writes, ``ENOSPC``, bit
-  flips on read (``REPRO_FAULT_SEED`` / ``REPRO_FAULT_RATE`` /
-  ``REPRO_FAULT_KINDS`` activate it process-wide, which is how the CI
-  chaos job runs);
+  budget (used by the scraper, where collection over Tor fails
+  transiently);
+* :mod:`repro.resilience.atomic` — :func:`atomic_write`: the one
+  temp + fsync + rename writer behind forum files, checkpoints and
+  snapshots, so a crash never leaves a torn file under its name;
 * :mod:`repro.resilience.checkpoint` — :class:`CheckpointStore`:
   atomic per-unknown checkpoints that make
   :class:`~repro.core.batch.BatchedLinker` runs resumable with output
@@ -25,19 +23,8 @@ layer one shared vocabulary for surviving it:
 Semantics and file formats: ``docs/robustness.md``.
 """
 
+from repro.resilience.atomic import atomic_write
 from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
-from repro.resilience.faults import (
-    DEFAULT_FAULT_RATE,
-    FAULT_KINDS,
-    FAULT_KINDS_ENV,
-    FAULT_RATE_ENV,
-    FAULT_SEED_ENV,
-    FaultPlan,
-    get_fault_plan,
-    guarded_call,
-    install_fault_plan,
-    plan_from_env,
-)
 from repro.resilience.policy import DEFAULT_RETRYABLE, NO_RETRY, RetryPolicy
 from repro.resilience.snapshot import (
     SNAPSHOT_MAGIC,
@@ -54,24 +41,15 @@ from repro.resilience.snapshot import (
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointStore",
-    "DEFAULT_FAULT_RATE",
     "DEFAULT_RETRYABLE",
-    "FAULT_KINDS",
-    "FAULT_KINDS_ENV",
-    "FAULT_RATE_ENV",
-    "FAULT_SEED_ENV",
-    "FaultPlan",
     "NO_RETRY",
     "RetryPolicy",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "SectionStatus",
     "SnapshotReport",
-    "get_fault_plan",
-    "guarded_call",
-    "install_fault_plan",
+    "atomic_write",
     "load_index",
-    "plan_from_env",
     "salvage_index",
     "save_index",
     "snapshot_info",

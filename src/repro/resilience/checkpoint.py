@@ -17,10 +17,10 @@ File format — JSONL, one object per line:
   "scores": [[candidate_id, score], ...]}`` — one fully-linked unknown
   per line, in completion order.
 
-Durability: every :meth:`record` rewrites the file to a sibling
-``*.tmp`` and atomically :func:`os.replace`-s it over the target, so
-the file on disk is always a complete, parseable checkpoint — a crash
-can lose at most the unknown in flight.  Scores are round-tripped
+Durability: every :meth:`record` rewrites the file through
+:func:`~repro.resilience.atomic.atomic_write` (temp + fsync + rename),
+so the file on disk is always a complete, parseable checkpoint — a
+crash can lose at most the unknown in flight.  Scores are round-tripped
 through JSON at record time, which is exact for Python floats, so a
 resumed run's :class:`~repro.core.linker.LinkResult` is identical to an
 uninterrupted one.
@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from repro.errors import CheckpointError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
+from repro.resilience.atomic import atomic_write
 
 log = get_logger(__name__)
 
@@ -134,7 +135,8 @@ class CheckpointStore:
         torn trailing line (possible only if the file was produced by
         something other than this class's atomic writer — e.g. a crash
         mid-append on a copied file) is rejected too; with *salvage*
-        set, a corrupt **final** entry is quarantined to a
+        set, a corrupt **final** entry — including one cut inside a
+        multi-byte character — is quarantined to a
         ``<name>.quarantined`` sidecar and the complete records before
         it are kept, so ``--resume`` recovers everything that was
         durably written.  Corruption anywhere *before* the tail still
@@ -147,8 +149,7 @@ class CheckpointStore:
         if not self.path.exists():
             raise CheckpointError(f"{self.path}: no such checkpoint")
         try:
-            lines = self.path.read_text(
-                encoding="utf-8").splitlines()
+            lines = self.path.read_bytes().splitlines()
         except OSError as exc:
             raise CheckpointError(
                 f"{self.path}: unreadable checkpoint: {exc}") from exc
@@ -169,11 +170,13 @@ class CheckpointStore:
             if not line.strip():
                 continue
             reason = None
+            entry = None
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                reason = "invalid UTF-8 in checkpoint entry"
             except json.JSONDecodeError:
                 reason = "corrupt checkpoint entry"
-                entry = None
             if reason is None and (not isinstance(entry, dict)
                                    or "unknown_id" not in entry):
                 reason = "malformed checkpoint entry"
@@ -193,20 +196,21 @@ class CheckpointStore:
         _RESUMED.inc(len(entries))
         return self
 
-    def _quarantine_line(self, lineno: int, line: str,
+    def _quarantine_line(self, lineno: int, line: bytes,
                          reason: str) -> None:
-        """Preserve a torn tail line to a sidecar for later audit."""
+        """Preserve a torn tail line, byte for byte, to a sidecar for
+        later audit."""
         sidecar = self.path.with_name(self.path.name + ".quarantined")
-        with open(sidecar, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with open(sidecar, "ab") as fh:
+            fh.write(line + b"\n")
         _SALVAGED.inc()
         log.warning("checkpoint.salvage", path=str(self.path),
                     line=lineno, reason=reason, sidecar=str(sidecar))
 
-    def _parse_header(self, line: str) -> Dict[str, Any]:
+    def _parse_header(self, line: bytes) -> Dict[str, Any]:
         try:
-            header = json.loads(line)
-        except json.JSONDecodeError as exc:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(
                 f"{self.path}: corrupt checkpoint header") from exc
         if not isinstance(header, dict) or \
@@ -244,19 +248,14 @@ class CheckpointStore:
 
     def flush(self) -> None:
         """Rewrite the checkpoint file atomically (temp + replace)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         header = {"kind": "link-checkpoint",
                   "schema": CHECKPOINT_SCHEMA,
                   "fingerprint": self.fingerprint,
                   "n_entries": len(self._entries)}
-        temp = self.path.with_name(self.path.name + ".tmp")
-        with open(temp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-            for entry in self._entries.values():
-                fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(temp, self.path)
+        with atomic_write(self.path) as fh:
+            for item in (header, *self._entries.values()):
+                fh.write(json.dumps(item, ensure_ascii=False)
+                         .encode("utf-8") + b"\n")
         _WRITES.inc()
 
     def discard(self) -> None:

@@ -2,19 +2,21 @@
 jitter, attempt caps, and a total-deadline budget.
 
 The paper's collection ran against hidden services over Tor, where
-transient failures are the norm, not the exception.  Every stage that
-talks to a flaky medium (the simulated scraper, and storage and
-snapshot I/O under a :class:`~repro.resilience.faults.FaultPlan`)
-shares one policy abstraction instead of growing its own ad-hoc loop:
+transient failures are the norm, not the exception.  The simulated
+scraper, the one stage that talks to that flaky medium, retries
+through this policy instead of growing its own ad-hoc loop::
 
     policy = RetryPolicy(max_retries=5, base_delay=0.5)
     result = policy.call(flaky_fn, arg1, arg2)
 
-Determinism is a design requirement — chaos tests must be exactly
-reproducible — so jitter is *derived*, not sampled: attempt ``i`` of a
-policy with ``jitter=0.25`` perturbs the exponential delay by a fixed
-fraction computed from ``(seed, attempt)`` via a hash.  Two runs with
-the same seed back off identically.
+Local storage does not retry: its writes are atomic (see
+:mod:`repro.resilience.atomic`) and a failed one surfaces at once.
+
+Determinism is a design requirement — a re-run scrape must back off
+exactly as before — so jitter is *derived*, not sampled: attempt
+``i`` of a policy with ``jitter=0.25`` perturbs the exponential delay
+by a fixed fraction computed from ``(seed, attempt)`` via a hash.  Two
+runs with the same seed back off identically.
 
 Time is injected.  ``sleep``/``clock`` default to the real
 :func:`time.sleep`/:func:`time.monotonic`, but the simulated scraper

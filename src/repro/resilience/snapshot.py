@@ -32,22 +32,19 @@ per section.  Numpy sections are raw C-order buffers, so a verified
 load can hand them to consumers as zero-copy (optionally mmap-backed)
 views.
 
-**Integrity model.**  Writes are atomic (temp + fsync + rename, the
-same discipline as :class:`~repro.resilience.checkpoint.
-CheckpointStore`), so a crash mid-save leaves the previous snapshot
-untouched.  Loads verify the magic, version, header checksum, config
-digest and *every* section checksum before any byte is used; anything
-that does not verify raises a typed :class:`~repro.errors.
+**Integrity model.**  Writes go through
+:func:`~repro.resilience.atomic.atomic_write` (temp + fsync + rename,
+like forum files and checkpoints), so a crash mid-save leaves the
+previous snapshot untouched.  The save streams: array checksums are
+taken over the arrays in place, then the header and the sections are
+written in order, so a save never copies an array.  Loads verify the
+magic, version, header checksum, config digest and *every* section
+checksum before any byte is used; anything that does not verify
+raises a typed :class:`~repro.errors.
 SnapshotError` naming the damaged section — a snapshot never produces
 silently-wrong scores.  :func:`verify_index` reports per-section
 damage without loading, and :func:`salvage_index` recovers every
 intact section from a damaged file.
-
-**Chaos.**  The save/read paths are instrumented with the filesystem
-fault kinds of :class:`~repro.resilience.faults.FaultPlan` (torn
-write, ENOSPC, read-side bit flips) and retry under the active plan's
-policy, so the CI chaos job exercises exactly the failure modes the
-format exists to survive.
 
 The round-trip contract is bit-identity:
 ``load(save(fit(world))).link(u)`` equals ``fit(world).link(u)`` for
@@ -61,31 +58,24 @@ with the same result.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import mmap as mmap_module
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.config import FeatureBudget
-from repro.errors import (
-    ConfigurationError,
-    NotFittedError,
-    RetryExhaustedError,
-    SnapshotError,
-)
+from repro.errors import ConfigurationError, NotFittedError, SnapshotError
 from repro.obs.logging import get_logger
 from repro.obs.manifest import git_revision
 from repro.obs.metrics import counter, gauge
 from repro.obs.spans import span
-from repro.resilience.faults import GUARD_POLICY_DELAYS, get_fault_plan
+from repro.resilience.atomic import atomic_write
 
 log = get_logger(__name__)
 
@@ -108,6 +98,18 @@ SNAPSHOT_VERSION = 1
 
 _HEADER_FIXED = 48  # magic + uint64 length + header sha256
 _ALIGN = 64
+
+
+def _padding(nbytes: int) -> int:
+    """Zero bytes that follow *nbytes* to reach the next alignment."""
+    return -nbytes % _ALIGN
+
+
+def _data_start(header_len: int) -> int:
+    """Offset of the first section: the header, 64-byte aligned."""
+    end = _HEADER_FIXED + header_len
+    return end + _padding(end)
+
 
 #: Snapshots written (post-rename, i.e. durable).
 _SAVED = counter("snapshots_saved_total")
@@ -305,29 +307,31 @@ def _collect_state(linker: Any) -> Tuple[str, Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Encoding / atomic write
+# Encoding (streamed into the atomic writer)
 # ---------------------------------------------------------------------------
 
-def _payload_bytes(kind: str, payload: Any,
-                   ) -> Tuple[bytes, Optional[str],
-                              Optional[List[int]]]:
-    if kind == "json":
-        return (json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8"),
-                None, None)
-    array = np.ascontiguousarray(payload)
-    return (array.tobytes(), array.dtype.str,
-            [int(n) for n in array.shape])
+def _write_snapshot(handle: BinaryIO, algo: str, config: Dict[str, Any],
+                    sections: List[Tuple[str, str, Any]]) -> int:
+    """Write the on-disk layout of *sections* to *handle*.
 
-
-def _encode_snapshot(algo: str, config: Dict[str, Any],
-                     sections: List[Tuple[str, str, Any]]) -> bytes:
-    """Serialize sections + header into the on-disk byte layout."""
+    JSON sections are encoded to small blobs; ndarray sections are
+    hashed and written through a byte view of the array itself, never
+    copied.  Returns the number of bytes written.
+    """
     table: List[Dict[str, Any]] = []
-    payloads: List[bytes] = []
+    payloads: List[Any] = []
     offset = 0
     for name, kind, payload in sections:
-        blob, dtype, shape = _payload_bytes(kind, payload)
+        dtype: Optional[str] = None
+        shape: Optional[List[int]] = None
+        if kind == "json":
+            blob: Any = json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":")).encode("utf-8")
+        else:
+            array = np.ascontiguousarray(payload)
+            blob = memoryview(array).cast("B")
+            dtype = array.dtype.str
+            shape = [int(n) for n in array.shape]
         table.append({
             "name": name,
             "kind": kind,
@@ -338,7 +342,7 @@ def _encode_snapshot(algo: str, config: Dict[str, Any],
             "shape": shape,
         })
         payloads.append(blob)
-        offset += -(-len(blob) // _ALIGN) * _ALIGN
+        offset += len(blob) + _padding(len(blob))
     header = {
         "format_version": SNAPSHOT_VERSION,
         "algo": algo,
@@ -349,83 +353,32 @@ def _encode_snapshot(algo: str, config: Dict[str, Any],
     }
     header_blob = json.dumps(header, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-    data_start = -(-(_HEADER_FIXED + len(header_blob)) // _ALIGN) \
-        * _ALIGN
-    out = bytearray(data_start + offset)
-    out[0:8] = SNAPSHOT_MAGIC
-    out[8:16] = len(header_blob).to_bytes(8, "little")
-    out[16:48] = hashlib.sha256(header_blob).digest()
-    out[48:48 + len(header_blob)] = header_blob
-    for entry, blob in zip(table, payloads):
-        start = data_start + entry["offset"]
-        out[start:start + len(blob)] = blob
-    return bytes(out)
-
-
-def _write_atomic(path: Path, blob: bytes) -> None:
-    """Temp + fsync + rename, with filesystem fault injection.
-
-    An injected torn write truncates the temp file and raises
-    ``OSError(EIO)`` — exactly what a mid-write crash leaves behind —
-    while the target path stays untouched (the rename never happened).
-    """
-    plan = get_fault_plan()
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent))
-    try:
-        if plan is not None:
-            plan.fs_check("snapshot.write")
-        torn = plan.torn_bytes(blob, "snapshot.write") \
-            if plan is not None else None
-        with os.fdopen(fd, "wb") as handle:
-            fd = None
-            handle.write(blob if torn is None else torn)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if torn is not None:
-            raise OSError(
-                errno.EIO,
-                f"injected torn write: {len(torn)}/{len(blob)} bytes")
-        os.replace(tmp_name, path)
-        tmp_name = None
-    finally:
-        if fd is not None:
-            os.close(fd)
-        if tmp_name is not None:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+    handle.write(SNAPSHOT_MAGIC)
+    handle.write(len(header_blob).to_bytes(8, "little"))
+    handle.write(hashlib.sha256(header_blob).digest())
+    handle.write(header_blob)
+    handle.write(bytes(_padding(_HEADER_FIXED + len(header_blob))))
+    for blob in payloads:
+        handle.write(blob)
+        handle.write(bytes(_padding(len(blob))))
+    return _data_start(len(header_blob)) + offset
 
 
 def save_index(linker: Any, path: Union[str, Path]) -> Dict[str, Any]:
     """Snapshot a fitted linker to *path*, atomically.
 
     Returns a summary dict (path, bytes, algo, section count, config
-    digest).  Under an active fault plan the write is retried with the
-    plan's guard policy, so injected torn writes / ENOSPC exercise the
-    retry path while a genuinely full disk still surfaces as
-    ``OSError``.
+    digest).  A failed write (a full disk, say) raises ``OSError`` and
+    leaves any previous file at *path* intact.
     """
     path = Path(path)
     with span("snapshot.save", path=str(path)):
         algo, config, sections = _collect_state(linker)
-        blob = _encode_snapshot(algo, config, sections)
-        plan = get_fault_plan()
-        if plan is None:
-            _write_atomic(path, blob)
-        else:
-            from repro.resilience.policy import RetryPolicy
-
-            policy = RetryPolicy(seed=plan.seed, retryable=(OSError,),
-                                 **GUARD_POLICY_DELAYS)
-            try:
-                policy.call(_write_atomic, path, blob)
-            except RetryExhaustedError as exc:
-                raise exc.last_error or exc
+        with atomic_write(path) as handle:
+            nbytes = _write_snapshot(handle, algo, config, sections)
     _SAVED.inc()
-    _BYTES.set(len(blob))
-    info = {"path": str(path), "bytes": len(blob), "algo": algo,
+    _BYTES.set(nbytes)
+    info = {"path": str(path), "bytes": nbytes, "algo": algo,
             "n_known": config["n_known"],
             "sections": len(sections),
             "config_digest": _config_digest(config)[:12]}
@@ -438,28 +391,18 @@ def save_index(linker: Any, path: Union[str, Path]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 def _read_buffer(path: Path, use_mmap: bool) -> Any:
-    """The snapshot's bytes: mmap when allowed, else a private copy.
-
-    An active fault plan forces the copy path (so read-side bit flips
-    hit exactly the bytes that get verified) and applies
-    :meth:`~repro.resilience.faults.FaultPlan.corrupt_bytes`.
-    """
-    plan = get_fault_plan()
+    """The snapshot's bytes: mmap when allowed, else a private copy."""
     try:
-        if plan is None and use_mmap:
-            with open(path, "rb") as handle:
-                if os.fstat(handle.fileno()).st_size == 0:
-                    return b""
-                return mmap_module.mmap(handle.fileno(), 0,
-                                        access=mmap_module.ACCESS_READ)
         with open(path, "rb") as handle:
-            data = handle.read()
+            if not use_mmap:
+                return handle.read()
+            if os.fstat(handle.fileno()).st_size == 0:
+                return b""
+            return mmap_module.mmap(handle.fileno(), 0,
+                                    access=mmap_module.ACCESS_READ)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") \
             from exc
-    if plan is not None:
-        data = plan.corrupt_bytes(data, "snapshot.read")
-    return data
 
 
 def _parse_header(path: Path, buffer: Any) -> Dict[str, Any]:
@@ -494,8 +437,7 @@ def _parse_header(path: Path, buffer: Any) -> Dict[str, Any]:
     if _config_digest(header.get("config", {})) \
             != header.get("config_digest"):
         raise SnapshotError(f"{path}: config digest mismatch")
-    header["_data_start"] = -(-(_HEADER_FIXED + header_len)
-                              // _ALIGN) * _ALIGN
+    header["_data_start"] = _data_start(header_len)
     return header
 
 
@@ -545,8 +487,9 @@ def _parse_section(buffer: Any, header: Dict[str, Any],
     return array.reshape(entry["shape"])
 
 
-def _verify_once(path: Path, use_mmap: bool = False,
-                 ) -> Tuple[SnapshotReport, Any, Dict[str, Any]]:
+def _verify(path: Path, use_mmap: bool = False,
+            ) -> Tuple[SnapshotReport, Any, Dict[str, Any]]:
+    """Read *path* once and check its header and every section."""
     buffer = _read_buffer(path, use_mmap)
     header = _parse_header(path, buffer)
     statuses = [_check_section(buffer, header, entry)
@@ -558,46 +501,6 @@ def _verify_once(path: Path, use_mmap: bool = False,
     return report, buffer, header
 
 
-def _fault_attempts() -> int:
-    """Retries for read paths under an active plan.
-
-    Injected read corruption is per-invocation — a clean retry reads
-    clean bytes — while genuine on-disk damage fails every attempt, so
-    a handful of retries makes chaos runs deterministic without ever
-    masking real corruption.
-    """
-    return 6 if get_fault_plan() is not None else 1
-
-
-def _verify_retried(path: Path, use_mmap: bool = False,
-                    ) -> Tuple[SnapshotReport, Any, Dict[str, Any]]:
-    """:func:`_verify_once`, retried under an active fault plan.
-
-    Stops at the first clean read.  If none is clean, returns the read
-    with the fewest damaged sections: genuine damage shows in every
-    read, an injected flip in one only, so that read reports the
-    on-disk damage without injected extras.  Raises the last header
-    error when no read had a usable header.
-    """
-    last_error: Optional[SnapshotError] = None
-    best = None
-    for _ in range(_fault_attempts()):
-        try:
-            outcome = _verify_once(path, use_mmap=use_mmap)
-        except SnapshotError as exc:
-            last_error = exc
-            continue
-        if best is None or len(outcome[0].damaged()) \
-                < len(best[0].damaged()):
-            best = outcome
-        if outcome[0].ok:
-            break
-    if best is None:
-        assert last_error is not None
-        raise last_error
-    return best
-
-
 def verify_index(path: Union[str, Path]) -> SnapshotReport:
     """Check every section checksum of the snapshot at *path*.
 
@@ -607,7 +510,7 @@ def verify_index(path: Union[str, Path]) -> SnapshotReport:
     """
     path = Path(path)
     with span("snapshot.verify", path=str(path)):
-        report, _, _ = _verify_retried(path)
+        report, _, _ = _verify(path)
     damaged = report.damaged()
     if damaged:
         _DAMAGED.inc(len(damaged))
@@ -619,17 +522,8 @@ def verify_index(path: Union[str, Path]) -> SnapshotReport:
 def snapshot_info(path: Union[str, Path]) -> Dict[str, Any]:
     """The snapshot's manifest header (no section payloads touched)."""
     path = Path(path)
-    last_error: Optional[SnapshotError] = None
-    for _ in range(_fault_attempts()):
-        try:
-            buffer = _read_buffer(path, use_mmap=False)
-            header = _parse_header(path, buffer)
-            break
-        except SnapshotError as exc:
-            last_error = exc
-    else:
-        assert last_error is not None
-        raise last_error
+    buffer = _read_buffer(path, use_mmap=False)
+    header = _parse_header(path, buffer)
     data_start = header.pop("_data_start")
     sections = header.get("sections", [])
     payload_end = max(
@@ -653,7 +547,7 @@ def salvage_index(path: Union[str, Path],
     """
     path = Path(path)
     with span("snapshot.salvage", path=str(path)):
-        report, buffer, header = _verify_retried(path)
+        report, buffer, header = _verify(path)
         ok_names = {s.name for s in report.sections if s.ok}
         recovered: Dict[str, Any] = {}
         for entry in header.get("sections", []):
@@ -781,7 +675,7 @@ def load_index(path: Union[str, Path], mmap: bool = True) -> Any:
     """
     path = Path(path)
     with span("snapshot.load", path=str(path)):
-        report, buffer, header = _verify_retried(path, use_mmap=mmap)
+        report, buffer, header = _verify(path, use_mmap=mmap)
         if not report.ok:
             damaged = report.damaged()
             first = next(s for s in report.sections if not s.ok)

@@ -1,11 +1,12 @@
 """Crash-safety tests for JSONL storage: torn writes, damaged files."""
 
+import gzip
 import json
 
 import pytest
 
 from repro.errors import DatasetError
-from repro.forums import storage
+from repro.forums.models import UserRecord
 from repro.forums.storage import (
     iter_user_records,
     load_forum,
@@ -119,25 +120,6 @@ class TestAtomicSave:
         save_forum(world.forums["tmg"], tmp_path / "ok.jsonl")
         assert [p.name for p in tmp_path.iterdir()] == ["ok.jsonl"]
 
-    def test_crash_mid_save_preserves_previous(self, world, tmp_path,
-                                               monkeypatch):
-        path = tmp_path / "tmg.jsonl"
-        save_forum(world.forums["tmg"], path)
-        good = path.read_text()
-
-        def explode(target):
-            raise OSError("power loss")
-
-        monkeypatch.setattr(storage, "_fsync_path", explode)
-        with pytest.raises(OSError):
-            save_forum(world.forums["dm"], path)
-        monkeypatch.undo()
-
-        # previous version intact, no torn temp file
-        assert path.read_text() == good
-        assert not list(tmp_path.glob("*.tmp"))
-        assert load_forum(path).name == "tmg"
-
     def test_gzip_atomic_roundtrip(self, world, tmp_path):
         path = tmp_path / "tmg.jsonl.gz"
         save_forum(world.forums["tmg"], path)
@@ -145,9 +127,103 @@ class TestAtomicSave:
         forum = load_forum(path)
         assert forum.n_users == world.forums["tmg"].n_users
 
+    def test_failed_gzip_save_closes_wrapper(self, world, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "tmg.jsonl.gz"
+        save_forum(world.forums["tmg"], path)
+        previous = path.read_bytes()
+        opened = []
+
+        class Recorder(gzip.GzipFile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        def broken(record):
+            raise RuntimeError("unserialisable record")
+
+        monkeypatch.setattr(gzip, "GzipFile", Recorder)
+        monkeypatch.setattr(UserRecord, "to_dict", broken)
+        with pytest.raises(RuntimeError, match="unserialisable"):
+            save_forum(world.forums["dm"], path)
+        assert len(opened) == 1 and opened[0].closed
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_load_world_ignores_stale_temp(self, world, tmp_path):
         save_forum(world.forums["tmg"], tmp_path / "tmg.jsonl")
         # a crashed non-atomic writer left a torn staging file behind
         (tmp_path / "dm.jsonl.tmp").write_text("{half a head")
         forums = load_world(tmp_path)
         assert sorted(forums) == ["tmg"]
+
+
+class TestDamagedBytes:
+    """Damage below the JSON layer: a byte that is not UTF-8, a
+    compressed stream cut short.  Each is a typed DatasetError naming
+    the file, and salvage mode keeps everything before it."""
+
+    def _break_utf8(self, path, index):
+        raw = path.read_bytes().split(b"\n")
+        raw[index] = raw[index].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(raw))
+
+    def test_bad_utf8_names_path_and_line(self, saved):
+        self._break_utf8(saved, 2)
+        with pytest.raises(DatasetError,
+                           match=rf"{saved.name}:3: invalid UTF-8"):
+            load_forum(saved)
+
+    def test_bad_utf8_in_header_raises(self, saved):
+        self._break_utf8(saved, 0)
+        with pytest.raises(DatasetError, match="invalid header line"):
+            load_forum(saved, recover=True)
+
+    def test_recover_skips_bad_utf8_line(self, world, saved):
+        self._break_utf8(saved, 2)
+        before = _RECOVERED.value
+        forum = load_forum(saved, recover=True)
+        assert forum.n_users == world.forums["tmg"].n_users - 1
+        assert _RECOVERED.value == before + 1
+
+    def test_recover_counts_each_skipped_line_once(self, world, saved):
+        """A line of bad JSON and a later line of bad UTF-8 are each
+        skipped and counted once."""
+        lines = _lines(saved)
+        lines[1] = "{torn"
+        _write_lines(saved, lines)
+        self._break_utf8(saved, len(lines) - 1)
+        before = _RECOVERED.value
+        forum = load_forum(saved, recover=True)
+        assert forum.n_users == world.forums["tmg"].n_users - 2
+        assert _RECOVERED.value == before + 2
+
+    def test_iter_user_records_bad_utf8(self, world, saved):
+        self._break_utf8(saved, 2)
+        with pytest.raises(DatasetError, match=r":3: invalid UTF-8"):
+            list(iter_user_records(saved))
+        assert len(list(iter_user_records(saved, recover=True))) == \
+            world.forums["tmg"].n_users - 1
+
+    @pytest.fixture
+    def truncated_gz(self, world, tmp_path):
+        path = tmp_path / "tmg.jsonl.gz"
+        save_forum(world.forums["tmg"], path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) * 2 // 3])
+        return path
+
+    def test_truncated_gzip_raises_typed_error(self, truncated_gz):
+        with pytest.raises(DatasetError,
+                           match=rf"{truncated_gz.name}: corrupt "
+                                 r"compressed stream"):
+            load_forum(truncated_gz)
+
+    def test_recover_keeps_records_before_truncation(self, world,
+                                                     truncated_gz):
+        forum = load_forum(truncated_gz, recover=True)
+        full = world.forums["tmg"]
+        assert 0 < forum.n_users < full.n_users
+        for alias, record in forum.users.items():
+            assert record == full.users[alias]
+

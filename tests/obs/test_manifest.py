@@ -95,8 +95,8 @@ class TestContents:
         for knob in ENV_KNOBS:
             monkeypatch.delenv(knob, raising=False)
         assert build_manifest()["env"] == {}
-        monkeypatch.setenv("REPRO_FAULT_SEED", "1")
-        assert build_manifest()["env"] == {"REPRO_FAULT_SEED": "1"}
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "INFO")
+        assert build_manifest()["env"] == {"REPRO_LOG_LEVEL": "INFO"}
 
     def test_extra_fields_merged(self):
         manifest = build_manifest(extra={"bench": "linking"})

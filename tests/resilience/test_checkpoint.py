@@ -77,6 +77,38 @@ class TestStore:
         with pytest.raises(CheckpointError):
             CheckpointStore(path).load()
 
+    def test_salvage_quarantines_tail_cut_inside_a_character(
+            self, tmp_path):
+        """Entries keep non-ASCII ids as UTF-8; a crash can cut the
+        last one inside a multi-byte character.  Salvage quarantines
+        it like any torn line, byte for byte."""
+        path = tmp_path / "run.ckpt"
+        store = CheckpointStore(path)
+        store.record("u1", [_match(uid="u1")], [])
+        store.record("u2", [_match(uid="u2", cid="dm/zoë")],
+                     [("dm/zoë", 0.5)])
+        raw = path.read_bytes()
+        cut = raw.rindex("ë".encode("utf-8")) + 1
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError, match="invalid UTF-8"):
+            CheckpointStore(path).load()
+        salvaged = CheckpointStore(path).load(salvage=True)
+        assert salvaged.completed_ids == ["u1"]
+        sidecar = tmp_path / "run.ckpt.quarantined"
+        assert sidecar.read_bytes() == raw[raw.rindex(b"\n", 0, cut)
+                                           + 1:cut] + b"\n"
+
+    def test_bad_utf8_before_the_tail_rejected(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        store = CheckpointStore(path)
+        store.record("u1", [_match(uid="u1")], [])
+        store.record("u2", [_match(uid="u2")], [])
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b"u1", b"u\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CheckpointError, match=r":2: invalid UTF-8"):
+            CheckpointStore(path).load(salvage=True)
+
     def test_no_stray_temp_file(self, tmp_path):
         path = tmp_path / "run.ckpt"
         CheckpointStore(path).record("u", [_match()], [])

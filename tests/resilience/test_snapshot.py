@@ -2,9 +2,9 @@
 
 The acceptance criterion of the snapshot layer:
 ``link(load(save(fit(world))))`` is bit-identical to
-``link(fit(world))`` for both linker flavors, and any torn write, bit
-flip or truncation is either healed (verified load) or reported as a
-typed :class:`~repro.errors.SnapshotError` naming the damaged section.
+``link(fit(world))`` for both linker flavors, and any bit flip or
+truncation is reported as a typed :class:`~repro.errors.SnapshotError`
+naming the damaged section.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError, NotFittedError, \
     SnapshotError
 from repro.perf import blocked
 from repro.perf.cache import ProfileCache
-from repro.resilience.faults import FaultPlan, install_fault_plan
 from repro.resilience.snapshot import (
     SNAPSHOT_MAGIC,
     load_index,
@@ -123,14 +122,12 @@ class TestRoundTrip:
 def _write_legacy_snapshot(linker, path):
     """Write *linker* the way older builds did with the inverted-index
     stage 1: two shards of posting sections plus ``config["stage1"]``.
-
-    A plain write: the file is the test's input, so the filesystem
-    faults of a chaos run must not hit it (the loads still see them).
     """
     import numpy as np
 
+    from repro.resilience.atomic import atomic_write
     from repro.resilience.snapshot import _collect_state, \
-        _encode_snapshot
+        _write_snapshot
 
     algo, config, sections = _collect_state(linker)
     config["stage1"] = "invindex"
@@ -153,7 +150,8 @@ def _write_legacy_snapshot(linker, path):
              shard.indptr.astype(np.int64)),
             (f"invindex.shard{i}.maxw", "ndarray", maxw),
         ])
-    path.write_bytes(_encode_snapshot(algo, config, sections))
+    with atomic_write(path) as handle:
+        _write_snapshot(handle, algo, config, sections)
 
 
 class TestInvindexSnapshot:
@@ -351,34 +349,3 @@ class TestStructureRoundTrip:
         assert loaded.use_structure is False
         assert _result_json(loaded.link(unknowns)) \
             == _result_json(linker.link(unknowns))
-
-
-class TestUnderFsFaults:
-    @pytest.fixture
-    def fs_chaos(self):
-        plan = FaultPlan(seed=1, torn_rate=0.3, enospc_rate=0.3,
-                         read_corrupt_rate=0.3)
-        previous = install_fault_plan(plan)
-        yield plan
-        install_fault_plan(previous)
-
-    def test_save_load_cycle_survives_injection(self, corpus,
-                                                tmp_path, fs_chaos):
-        """Torn writes, ENOSPC and read bit flips at 30% are absorbed
-        by retries; the loaded linker still links bit-identically."""
-        known, unknowns = corpus
-        linker = AliasLinker(threshold=0.0).fit(known)
-        install_fault_plan(None)
-        direct = linker.link(unknowns)
-        install_fault_plan(fs_chaos)
-        for round_no in range(3):
-            path = tmp_path / f"chaos{round_no}.snap"
-            save_index(linker, path)
-            assert verify_index(path).ok
-            loaded = load_index(path)
-            install_fault_plan(None)
-            replay = loaded.link(unknowns)
-            install_fault_plan(fs_chaos)
-            assert _result_json(replay) == _result_json(direct)
-        assert fs_chaos.injected > 0, \
-            "the chaos run never actually saw a fault"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PipelineConfig
-from repro.errors import InsufficientDataError
+from repro.errors import ConfigurationError, InsufficientDataError
 from repro.pipeline import LinkingPipeline
 
 
@@ -71,3 +71,14 @@ class TestLinkForums:
             reddit_alter_egos.originals,
             reddit_alter_egos.alter_egos[:3])
         assert len(result.matches) == 3
+
+    def test_resume_without_checkpoint_rejected(self,
+                                                reddit_alter_egos):
+        pipeline = LinkingPipeline(
+            PipelineConfig(words_per_alias=600, threshold=0.0))
+        with pytest.raises(ConfigurationError,
+                           match="resume requires a checkpoint"):
+            pipeline.link_documents(
+                reddit_alter_egos.originals,
+                reddit_alter_egos.alter_egos[:1],
+                resume=True)
