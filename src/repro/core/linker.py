@@ -441,11 +441,14 @@ class AliasLinker:
 
         Each pair lives in its own feature space, so the pairs are laid
         out on a block diagonal and multiplied in a single matmul.
-        scipy's CSR matmul accumulates every output cell along the
-        stored order of the left row's entries; the diagonal layout
-        shifts column ids without reordering any row, so row *i* of the
-        big product is bit-identical to pair *i*'s own
-        ``cosine_similarity`` call.
+        Either kernel of ``cosine_similarity`` sums every output cell
+        in ascending feature order.  The diagonal layout shifts a
+        block's feature ids by one offset, which keeps that order, and
+        within pair *i*'s block unknown *i* and its candidates share
+        only pair *i*'s features; the slab kernel adds exact ``+0.0``
+        products for the rest.  So row *i* of the big product, within
+        pair *i*'s block, is bit-identical to pair *i*'s own
+        ``cosine_similarity`` call, whichever kernel either call takes.
         """
         if len(blocks) == 1:
             candidate_matrix, unknown_matrix = blocks[0]

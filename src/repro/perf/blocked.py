@@ -6,7 +6,10 @@ at 200 x 100,000, and growing linearly with the known corpus.  The
 reduction stage only ever needs the best *k* per row, so the matrix
 never has to exist whole: score the known corpus in column blocks and
 fold a running top-k after each block.  Peak memory becomes
-``O(n_unknowns * (k + BLOCK_ROWS))`` regardless of corpus size.
+``O(n_unknowns * (k + BLOCK_ROWS))`` for the scores, regardless of
+corpus size, plus what one similarity call on a block needs: a
+transposed copy of the block, or a query slab that is never larger
+(:func:`repro.core.similarity.cosine_similarity`).
 
 The fold is **exactly** equivalent to the unblocked computation,
 including tie handling: :func:`repro.core.similarity.top_k` orders

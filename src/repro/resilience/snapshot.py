@@ -520,16 +520,31 @@ def verify_index(path: Union[str, Path]) -> SnapshotReport:
 
 
 def snapshot_info(path: Union[str, Path]) -> Dict[str, Any]:
-    """The snapshot's manifest header (no section payloads touched)."""
+    """The snapshot's manifest header.
+
+    Reads only the fixed prefix and the header JSON, never a section
+    payload; ``file_bytes`` is the file's size on disk.
+    """
     path = Path(path)
-    buffer = _read_buffer(path, use_mmap=False)
-    header = _parse_header(path, buffer)
+    try:
+        with open(path, "rb") as handle:
+            file_bytes = os.fstat(handle.fileno()).st_size
+            prefix = handle.read(_HEADER_FIXED)
+            header_len = int.from_bytes(prefix[8:16], "little")
+            # A damaged length field cannot ask for more than the file
+            # holds; _parse_header reports the header as truncated.
+            prefix += handle.read(
+                min(header_len, max(file_bytes - len(prefix), 0)))
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") \
+            from exc
+    header = _parse_header(path, prefix)
     data_start = header.pop("_data_start")
     sections = header.get("sections", [])
     payload_end = max(
         (data_start + s["offset"] + s["nbytes"] for s in sections),
         default=data_start)
-    header["file_bytes"] = len(memoryview(buffer))
+    header["file_bytes"] = file_bytes
     header["expected_bytes"] = payload_end
     header["path"] = str(path)
     return header

@@ -243,6 +243,23 @@ class TestVerify:
         assert len(header["config_digest"]) == 64
         assert header["file_bytes"] >= header["expected_bytes"]
 
+    def test_info_reports_header_of_cut_payload(self, snap, tmp_path):
+        whole = snapshot_info(snap)
+        cut = tmp_path / "cut.snap"
+        cut.write_bytes(snap.read_bytes()[:whole["expected_bytes"] // 2])
+        header = snapshot_info(cut)
+        assert header["sections"] == whole["sections"]
+        assert header["config_digest"] == whole["config_digest"]
+        assert header["expected_bytes"] == whole["expected_bytes"]
+        assert header["file_bytes"] == whole["expected_bytes"] // 2
+        assert header["file_bytes"] < header["expected_bytes"]
+
+    def test_info_rejects_cut_header(self, snap, tmp_path):
+        cut = tmp_path / "cut-header.snap"
+        cut.write_bytes(snap.read_bytes()[:60])
+        with pytest.raises(SnapshotError, match="header truncated"):
+            snapshot_info(cut)
+
     def test_bit_flip_names_the_section(self, snap, tmp_path):
         blob = bytearray(snap.read_bytes())
         header = snapshot_info(snap)
